@@ -38,14 +38,12 @@ from .oracles import (
     telatar_quadrature,
 )
 from .special_functions import (
-    EULER_GAMMA,
     PolyRational,
     ei_exp_scaled,
     exp_integral_ei_neg,
     harmonic,
     laguerre_coeffs,
     laguerre_eval,
-    pochhammer,
     upper_gamma_int,
 )
 
@@ -53,7 +51,6 @@ __all__ = [
     "ChannelDims",
     "CoefficientTable",
     "ConvergenceError",
-    "EULER_GAMMA",
     "EvaluationResult",
     "GridMode",
     "McReport",
@@ -76,7 +73,6 @@ __all__ = [
     "lnt_identity_check",
     "monte_carlo_mi",
     "one_point_density",
-    "pochhammer",
     "render_expression",
     "results_to_csv",
     "results_to_json",

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 
@@ -47,11 +49,14 @@ def _parse_grid(spec: str) -> list[float]:
     """'start:stop:step' in dB, inclusive of both ends when step divides
     the range; a bare number is a one-point grid."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(spec)]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"grid spec must be 'start:stop:step', got {spec!r}")
-    start, stop, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"SNR grid values must be finite, got {spec!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     count = int(round((stop - start) / step))
@@ -148,14 +153,19 @@ def _resolve_ts(args) -> list[float]:
         if not args.t:
             raise ValueError("empty t list")
         for t in args.t:
-            if t <= 0:
-                raise ValueError(f"t must be positive, got {t}")
+            if not (math.isfinite(t) and t > 0):
+                raise ValueError(f"t must be finite and positive, got {t}")
         return list(args.t)
     if args.snr_db is not None:
         grid = _parse_grid(args.snr_db)
         if not grid:
             raise ValueError("empty SNR grid")
-        return [10.0 ** (-g / 10.0) for g in grid]
+        try:
+            return [10.0 ** (-g / 10.0) for g in grid]
+        except OverflowError:
+            raise ValueError(
+                f"SNR grid {args.snr_db!r} dB maps to t beyond float range"
+            ) from None
     raise ValueError("one of --t or --snr-db is required")
 
 
@@ -272,10 +282,28 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+def _join_negative_grid(argv: list[str]) -> list[str]:
+    """'--snr-db -10:40:1' -> '--snr-db=-10:40:1'.
+
+    argparse takes a separate argument that starts with '-' and is not a
+    plain negative number for an option, so a grid with a negative start
+    would otherwise only parse when written with '='.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--snr-db" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--snr-db={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_grid(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

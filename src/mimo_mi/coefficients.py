@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,29 +67,62 @@ def coeff_c(i: int, j: int, dims: ChannelDims) -> Fraction:
     return Fraction(num, den)
 
 
+def _column_sums(dims: ChannelDims) -> tuple[list[int], int]:
+    """(N, D) with C_i = N[i] / D, where C_i = sum_j c_ij, i = 0 .. 2m-2.
+
+    c_ij vanishes unless max(0, i-m) <= j <= min(i, m-1), so a_k and b_k
+    depend on c only through these 2m-1 sums.  Over one common
+    denominator the sums over i below run on integers.
+    """
+    m = dims.m
+    sums = [
+        sum(
+            (coeff_c(i, j, dims) for j in range(max(0, i - m), min(i, m - 1) + 1)),
+            Fraction(0),
+        )
+        for i in range(2 * m - 1)
+    ]
+    den = math.lcm(*(c.denominator for c in sums))
+    return [c.numerator * (den // c.denominator) for c in sums], den
+
+
+def _a_from_sums(k: int, dims: ChannelDims, sums: tuple[list[int], int]) -> Fraction:
+    """a_0 = sum_i (i+d)! H_{i+d} C_i and, for k >= 1,
+    a_k = (-1)^k / (k k!) sum_{i >= k-d+1} ((i+d)! - k! (i+d-k)!) C_i,
+    with d = n - m."""
+    nums, den = sums
+    d = dims.n - dims.m
+    if k == 0:
+        acc = sum(
+            (math.factorial(i + d) * harmonic(i + d) * c for i, c in enumerate(nums)),
+            Fraction(0),
+        )
+        return acc / den
+    fk = math.factorial(k)
+    acc = sum(
+        (math.factorial(i + d) - fk * math.factorial(i + d - k)) * nums[i]
+        for i in range(max(0, k - d + 1), len(nums))
+    )
+    return Fraction((-1) ** k * acc, k * fk * den)
+
+
+def _b_from_sums(k: int, dims: ChannelDims, sums: tuple[list[int], int]) -> Fraction:
+    """b_k = -(-1)^k m / k! for k <= d, else
+    b_k = -(-1)^k / k! sum_{i >= k-d} (i+d)! C_i, with d = n - m."""
+    nums, den = sums
+    d = dims.n - dims.m
+    if k <= d:
+        return Fraction(-((-1) ** k) * dims.m, math.factorial(k))
+    acc = sum(math.factorial(i + d) * nums[i] for i in range(k - d, len(nums)))
+    return Fraction(-((-1) ** k) * acc, math.factorial(k) * den)
+
+
 def coeff_a(k: int, dims: ChannelDims) -> Fraction:
     """Coefficient a_k of the polynomial part, 0 <= k <= n+m-3."""
     m, n = dims.m, dims.n
     if not 0 <= k <= n + m - 3:
         raise IndexError(f"a_k index {k} outside [0, {n + m - 3}] for dims ({m}, {n})")
-    if k == 0:
-        acc = Fraction(0)
-        for j in range(m):
-            for i in range(j, 2 * m - 1):
-                c = coeff_c(i, j, dims)
-                if c:
-                    acc += math.factorial(i + n - m) * c * harmonic(i + n - m)
-        return acc
-    acc = Fraction(0)
-    for j in range(m):
-        for i in range(max(j, k - n + m + 1), 2 * m - 1):
-            c = coeff_c(i, j, dims)
-            if c:
-                acc += (
-                    math.factorial(i + n - m)
-                    - math.factorial(k) * math.factorial(i + n - m - k)
-                ) * c
-    return Fraction((-1) ** k, k * math.factorial(k)) * acc
+    return _a_from_sums(k, dims, _column_sums(dims))
 
 
 def coeff_b(k: int, dims: ChannelDims) -> Fraction:
@@ -97,15 +130,7 @@ def coeff_b(k: int, dims: ChannelDims) -> Fraction:
     m, n = dims.m, dims.n
     if not 0 <= k <= n + m - 2:
         raise IndexError(f"b_k index {k} outside [0, {n + m - 2}] for dims ({m}, {n})")
-    if k <= n - m:
-        return Fraction(-((-1) ** k) * m, math.factorial(k))
-    acc = Fraction(0)
-    for j in range(m):
-        for i in range(max(j, k - n + m), 2 * m - 1):
-            c = coeff_c(i, j, dims)
-            if c:
-                acc += math.factorial(i + n - m) * c
-    return Fraction(-((-1) ** k), math.factorial(k)) * acc
+    return _b_from_sums(k, dims, _column_sums(dims))
 
 
 @dataclass(frozen=True)
@@ -114,11 +139,26 @@ class CoefficientTable:
 
     a has n+m-2 entries (empty when m = n = 1), b has n+m-1 entries;
     immutable after construction and safe to share across threads.
+    The same coefficients are also kept over one common denominator:
+    a[k] == a_num[k] / denominator and b[k] == b_num[k] / denominator.
     """
 
     dims: ChannelDims
     a: tuple[Fraction, ...]
     b: tuple[Fraction, ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    a_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    b_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lcd = math.lcm(*(c.denominator for c in self.a + self.b))
+
+        def scaled(coeffs):
+            return tuple(c.numerator * (lcd // c.denominator) for c in coeffs)
+
+        object.__setattr__(self, "denominator", lcd)
+        object.__setattr__(self, "a_num", scaled(self.a))
+        object.__setattr__(self, "b_num", scaled(self.b))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -140,22 +180,6 @@ class CoefficientTable:
         )
 
 
-def _cij_sum_check(dims: ChannelDims) -> None:
-    """The t-free part of the log-cancellation identity:
-    sum_{i=0}^{2m-2} sum_{j=0}^{i} (i+n-m)! c_ij must equal m exactly.
-    A failure here means the coefficient code itself is wrong."""
-    m, n = dims.m, dims.n
-    total = Fraction(0)
-    for i in range(2 * m - 1):
-        for j in range(i + 1):
-            total += math.factorial(i + n - m) * coeff_c(i, j, dims)
-    if total != m:
-        raise AssertionError(
-            f"internal consistency failure for dims ({m}, {n}): "
-            f"sum (i+n-m)! c_ij = {total}, expected {m}"
-        )
-
-
 @lru_cache(maxsize=None)
 def build_table(dims: ChannelDims) -> CoefficientTable:
     """Compute the complete exact table for the given dimensions.
@@ -164,7 +188,12 @@ def build_table(dims: ChannelDims) -> CoefficientTable:
     concurrent first calls at worst duplicate work.
     """
     m, n = dims.m, dims.n
-    _cij_sum_check(dims)
-    a = tuple(coeff_a(k, dims) for k in range(n + m - 2))
-    b = tuple(coeff_b(k, dims) for k in range(n + m - 1))
+    sums = _column_sums(dims)
+    # The t-free part of the log-cancellation identity, sum_i (i+n-m)! C_i
+    # = m; a failure here means the coefficient code itself is wrong.
+    nums, den = sums
+    if sum(math.factorial(i + n - m) * c for i, c in enumerate(nums)) != m * den:
+        raise AssertionError(f"internal consistency failure for dims ({m}, {n})")
+    a = tuple(_a_from_sums(k, dims, sums) for k in range(n + m - 2))
+    b = tuple(_b_from_sums(k, dims, sums) for k in range(n + m - 1))
     return CoefficientTable(dims=dims, a=a, b=b)

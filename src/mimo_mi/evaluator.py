@@ -1,9 +1,10 @@
 """Evaluate the closed form, render it symbolically, and sweep SNR grids.
 
 The two polynomial sums nearly cancel against the e^t Ei(-t) factor for
-large t (e^t Ei(-t) ~ -1/t), so both sums are accumulated exactly in
-rational arithmetic with t promoted to the exact binary rational of the
-input float; floats appear only in the final combination.
+large t (e^t Ei(-t) ~ -1/t), so both sums are accumulated exactly, in
+integer arithmetic on the table's common-denominator numerators with t
+split into the exact ratio p/q of the input float; floats appear only in
+the final combination.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .coefficients import ChannelDims, CoefficientTable, build_table
@@ -26,7 +26,6 @@ _EI_REL_ERR = 1e-15
 class Method(str, enum.Enum):
     CLOSED_FORM = "closed_form"
     QUADRATURE = "quadrature"
-    MONTE_CARLO = "monte_carlo"
 
 
 class GridMode(str, enum.Enum):
@@ -62,19 +61,31 @@ class EvaluationResult:
         }
 
 
+def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """(num, den) with num / den == sum nums[k] (p/q)^k exactly."""
+    num, den = 0, 1
+    for c in reversed(nums):
+        den *= q
+        num = num * p + c * den
+    return num, den
+
+
 def evaluate_closed_form(table: CoefficientTable, t: float) -> EvaluationResult:
-    """E[I] = sum a_k t^k + e^t Ei(-t) sum b_k t^k at inverse SNR t > 0."""
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
-    tf = Fraction(t)
-    poly_a = Fraction(0)
-    for c in reversed(table.a):
-        poly_a = poly_a * tf + c
-    poly_b = Fraction(0)
-    for c in reversed(table.b):
-        poly_b = poly_b * tf + c
+    """E[I] = sum a_k t^k + e^t Ei(-t) sum b_k t^k at finite inverse SNR t > 0."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got t={t}")
+    p, q = t.as_integer_ratio()
+    num_a, den_a = _horner(table.a_num, p, q)
+    num_b, den_b = _horner(table.b_num, p, q)
     scaled_ei = ei_exp_scaled(t)
-    fa, fb = float(poly_a), float(poly_b)
+    # int / int true division is correctly rounded, like float(Fraction).
+    try:
+        fa = num_a / (table.denominator * den_a)
+        fb = num_b / (table.denominator * den_b)
+    except OverflowError:
+        raise ValueError(
+            f"t={t} is too large: the polynomial parts overflow a float"
+        ) from None
     value = fa + scaled_ei * fb
     err = max(
         2.0 * max(abs(fa), abs(scaled_ei * fb)) * 2.2e-16,
@@ -109,14 +120,11 @@ def _format_int_poly(coeffs: Sequence[int]) -> str:
 def render_expression(table: CoefficientTable) -> str:
     """Human-readable closed form with one common denominator factored out,
     e.g. table(2,2) renders as '1 - t - e^t Ei(-t) (2 + t^2)'."""
-    denoms = [c.denominator for c in table.a] + [c.denominator for c in table.b]
-    lcd = 1
-    for d in denoms:
-        lcd = math.lcm(lcd, d)
-    a_ints = [int(c * lcd) for c in table.a]
+    lcd = table.denominator
+    a_ints = table.a_num
     # The Ei factor enters with a leading minus so its polynomial prints
     # with a positive constant term (b_0 = -m).
-    b_ints = [int(-c * lcd) for c in table.b]
+    b_ints = [-c for c in table.b_num]
     b_str = _format_int_poly(b_ints)
     a_str = _format_int_poly(a_ints)
     if any(a_ints):
@@ -144,15 +152,18 @@ def sweep(
     ts = []
     for g in grid:
         if mode is GridMode.SNR_DB:
-            t = 10.0 ** (-g / 10.0)
+            try:
+                t = 10.0 ** (-g / 10.0)
+            except OverflowError:
+                t = math.inf
         elif mode is GridMode.SNR_LINEAR:
             if g <= 0:
                 raise ValueError(f"linear SNR must be positive, got {g}")
             t = 1.0 / g
         else:
             t = float(g)
-        if t <= 0:
-            raise ValueError(f"grid point {g} maps to non-positive t")
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"grid point {g} maps to t={t}, need finite t > 0")
         ts.append(t)
     return [evaluate_closed_form(table, t) for t in ts]
 

@@ -15,9 +15,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate
-
 from .coefficients import ChannelDims, coeff_c
 from .evaluator import EvaluationResult, Method
 from .special_functions import laguerre_coeffs, laguerre_eval, upper_gamma_int
@@ -52,6 +49,8 @@ class QuadratureConfig:
 
 def _quad(f, a, b, cfg: QuadratureConfig) -> tuple[float, float]:
     """scipy adaptive Gauss-Kronrod wrapper that refuses to degrade silently."""
+    from scipy import integrate
+
     out = integrate.quad(
         f,
         a,
@@ -106,7 +105,7 @@ def density_moment(
     val, _ = _quad(
         lambda lam: lam**power * one_point_density(dims, lam, form),
         0.0,
-        np.inf,
+        math.inf,
         cfg,
     )
     return val
@@ -122,8 +121,8 @@ def telatar_quadrature(
     bounded analytically (ln(1+x/t) <= x/t plus an incomplete-gamma
     bound on the polynomial part) and added to err_estimate.
     """
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got t={t}")
     cfg = cfg or QuadratureConfig()
     m, n = dims.m, dims.n
     alpha = n - m
@@ -190,6 +189,8 @@ def _mc_chunk(dims: ChannelDims, t: float, count: int, seed: int, chunk: int):
     information is 2 sum ln diag(chol(I + H H*/t)), with a Hermitian
     eigenvalue fallback should the Cholesky factorization fail.
     """
+    import numpy as np
+
     m, n = dims.m, dims.n
     gen = np.random.Generator(np.random.Philox(key=(chunk << 64) | seed))
     u = gen.random((count, m, n, 2))
@@ -223,8 +224,8 @@ def monte_carlo_mi(
     index order so the report is bit-identical across runs and thread
     schedules for the same (seed, samples, workers).
     """
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got t={t}")
     if samples < 100:
         raise ValueError(f"need samples >= 100, got {samples}")
     if workers < 1:
@@ -277,7 +278,7 @@ def lemma1_check(
     if not 0 <= k <= 20:
         raise ValueError(f"need 0 <= k <= 20, got {k}")
     cfg = cfg or QuadratureConfig()
-    lhs, _ = _quad(lambda x: x**k * math.exp(-x) * math.log(x), t, np.inf, cfg)
+    lhs, _ = _quad(lambda x: x**k * math.exp(-x) * math.log(x), t, math.inf, cfg)
     return lhs, _log_gamma_integral(k, t)
 
 
@@ -316,7 +317,7 @@ def a_pq_check(
             * math.log(x)
         )
 
-    raw, _ = _quad(integrand, t, np.inf, cfg)
+    raw, _ = _quad(integrand, t, math.inf, cfg)
     integral = math.exp(t) * raw
 
     terms = []

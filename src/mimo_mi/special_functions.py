@@ -2,7 +2,7 @@
 
 Laguerre polynomials (exact rational coefficients and stable float
 evaluation), integer-order upper incomplete gamma, the exponential
-integral Ei(-t), harmonic numbers, and Pochhammer symbols.
+integral Ei(-t), and harmonic numbers.
 
 All functions here are pure; the only shared state is read-only
 memoization, so everything is safe to call concurrently.
@@ -17,13 +17,9 @@ from functools import lru_cache
 
 import mpmath
 
-# Euler-Mascheroni constant, 30 significant digits.
-EULER_GAMMA = 0.577215664901532860606512090082
-
-# Crossover between the convergent series and the continued fraction
-# for Ei(-t).  Below it the series converges quickly; above it the
-# Lentz continued fraction is both fast and cancellation-free.
-_EI_SERIES_CUTOFF = 8.0
+# Crossover for Ei(-t): at or below it mpmath's E1 at 40 digits; above
+# it the Lentz continued fraction is both fast and cancellation-free.
+_EI_MPMATH_CUTOFF = 8.0
 
 
 @dataclass(frozen=True)
@@ -123,27 +119,16 @@ def upper_gamma_int(s: int, t: float) -> float:
     return math.factorial(s - 1) * math.exp(-t) * acc
 
 
-def _ei_neg_series(t: float) -> tuple[float, float]:
-    """(Ei(-t), e^t Ei(-t)) by the convergent series, t in (0, cutoff].
+def _ei_neg_mpmath(t: float) -> tuple[float, float]:
+    """(Ei(-t), e^t Ei(-t)) = (-E1(t), -e^t E1(t)), t in (0, cutoff].
 
-    The series gamma + ln t + sum (-t)^k/(k k!) loses ~e^t of precision
-    to cancellation in float64, so it is accumulated in 40-digit
-    arithmetic and rounded once at the end.
+    Evaluated with mpmath's E1 in 40-digit arithmetic and rounded once
+    at the end, since the float64 series loses ~e^t to cancellation.
     """
     with mpmath.workdps(40):
         mt = mpmath.mpf(t)
-        acc = mpmath.mpf(0)
-        term = mpmath.mpf(1)
-        k = 1
-        while True:
-            term *= -mt / k
-            delta = term / k
-            acc += delta
-            if abs(delta) < mpmath.mpf(10) ** -42 * (abs(acc) + 1):
-                break
-            k += 1
-        ei = mpmath.euler + mpmath.ln(mt) + acc
-        return float(ei), float(mpmath.e**mt * ei)
+        e1 = mpmath.e1(mt)
+        return float(-e1), float(-mpmath.exp(mt) * e1)
 
 
 def _ei_neg_lentz(t: float) -> float:
@@ -178,19 +163,19 @@ def exp_integral_ei_neg(t: float) -> float:
     Positive arguments of Ei are deliberately unsupported; nothing in
     this package needs them.
     """
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
-    if t <= _EI_SERIES_CUTOFF:
-        return _ei_neg_series(t)[0]
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got t={t}")
+    if t <= _EI_MPMATH_CUTOFF:
+        return _ei_neg_mpmath(t)[0]
     return _ei_neg_lentz(t) * math.exp(-t)
 
 
 def ei_exp_scaled(t: float) -> float:
     """e^t * Ei(-t) for t > 0, computed without overflow for large t."""
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
-    if t <= _EI_SERIES_CUTOFF:
-        return _ei_neg_series(t)[1]
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got t={t}")
+    if t <= _EI_MPMATH_CUTOFF:
+        return _ei_neg_mpmath(t)[1]
     return _ei_neg_lentz(t)
 
 
@@ -202,14 +187,3 @@ def harmonic(l: int) -> Fraction:
     if l == 0:
         return Fraction(0)
     return harmonic(l - 1) + Fraction(1, l)
-
-
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    acc = Fraction(1)
-    a = Fraction(a)
-    for i in range(n):
-        acc *= a + i
-    return acc

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mimo_mi
 from mimo_mi import ChannelDims, build_table, render_expression
 from mimo_mi.cli import run
 
@@ -112,6 +115,38 @@ class TestEvalSweep:
         code, _, _ = invoke(capsys, "eval", "-m", "2", "-n", "2", "--t", "-1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--t", "inf"),
+            ("eval", "--t", "nan"),
+            ("eval", "--t", "1", "inf"),
+            ("sweep", "--snr-db=nan"),
+            ("sweep", "--snr-db=-inf"),
+            ("sweep", "--snr-db=0:nan:1"),
+            ("sweep", "--snr-db", "-4000"),
+            ("eval", "--t", "1e300"),
+            ("eval", "--t", "inf", "--quadrature"),
+            ("mc", "--t", "inf"),
+            ("mc", "--t", "nan"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_exit_1(self, capsys, argv):
+        code, out, err = invoke(capsys, argv[0], "-m", "2", "-n", "2", *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mimo-mi: error: ")
+        assert "integer ratio" not in err
+
+    def test_negative_grid_after_space(self, capsys):
+        base = ("sweep", "-m", "8", "-n", "8", "--format", "csv")
+        code, spaced, _ = invoke(capsys, *base, "--snr-db", "-10:40:0.25")
+        assert code == 0
+        code, joined, _ = invoke(capsys, *base, "--snr-db=-10:40:0.25")
+        assert code == 0
+        assert spaced == joined
+        assert len(spaced.splitlines()) == 1 + 201
+
 
 class TestMc:
     def test_deterministic_json(self, capsys):
@@ -173,3 +208,16 @@ class TestVerify:
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1
         assert "usage" in err
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mimo_mi.__file__)))
+    code = (
+        "import sys, mimo_mi.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
+import mimo_mi.coefficients as coefficients
 from mimo_mi import (
     ChannelDims,
     CoefficientTable,
@@ -160,3 +164,55 @@ class TestSerialization:
         obj = json.loads(build_table(ChannelDims(2, 6)).to_json())
         assert obj["b"][3] == "1/3"
         assert obj["b"][-1] == "-1/120"
+
+
+class TestFrozenTables:
+    """Every table with m <= 16, n <= 32 is pinned by the SHA-256 of its
+    JSON, so any change to how tables are built must keep them exact."""
+
+    def test_json_hashes_unchanged(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "table_sha256.json")
+        with open(path) as fh:
+            frozen = json.load(fh)
+        assert len(frozen) == sum(33 - m for m in range(1, 17))
+        for key, digest in frozen.items():
+            m, n = map(int, key.split("x"))
+            text = build_table(ChannelDims(m, n)).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+    def test_single_coefficients_match_table(self):
+        d = ChannelDims(5, 9)
+        t = build_table(d)
+        assert tuple(coeff_a(k, d) for k in range(len(t.a))) == t.a
+        assert tuple(coeff_b(k, d) for k in range(len(t.b))) == t.b
+
+    def test_build_uses_each_c_once(self, monkeypatch):
+        calls = []
+        real = coefficients.coeff_c
+
+        def counting(i, j, dims):
+            calls.append((i, j))
+            return real(i, j, dims)
+
+        monkeypatch.setattr(coefficients, "coeff_c", counting)
+        d = ChannelDims(48, 64)
+        build_table.__wrapped__(d)
+        assert 0 < len(calls) <= d.m * (2 * d.m - 1)
+        assert len(set(calls)) == len(calls)
+
+
+class TestIntegerForm:
+    def test_common_denominator(self):
+        t = build_table(ChannelDims(4, 6))
+        assert t.denominator == 720
+        for c, num in zip(t.a + t.b, t.a_num + t.b_num):
+            assert c == Fraction(num, t.denominator)
+
+    def test_derived_on_json_load(self):
+        t = build_table(ChannelDims(3, 7))
+        back = CoefficientTable.from_json(t.to_json())
+        assert (back.denominator, back.a_num, back.b_num) == (
+            t.denominator,
+            t.a_num,
+            t.b_num,
+        )

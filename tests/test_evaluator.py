@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from mimo_mi import (
     GridMode,
     Method,
     build_table,
+    ei_exp_scaled,
     evaluate_closed_form,
     render_expression,
     results_to_csv,
@@ -15,6 +18,7 @@ from mimo_mi import (
     sweep,
     telatar_quadrature,
 )
+from mimo_mi.evaluator import _EI_REL_ERR
 
 # 3 e Gamma(0,1), Gamma(0,1) frozen from quadrature of int_1^inf e^-x/x dx
 MI_2X2_T1 = 1.789042086969582
@@ -46,6 +50,13 @@ class TestEvaluateClosedForm:
             evaluate_closed_form(table, 0.0)
         with pytest.raises(ValueError):
             evaluate_closed_form(table, -1.0)
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_closed_form(table, t)
+
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflow"):
+            evaluate_closed_form(build_table(ChannelDims(2, 2)), 1e300)
 
     def test_monotone_decreasing_in_t(self):
         for dims in (ChannelDims(1, 1), ChannelDims(2, 2), ChannelDims(3, 5)):
@@ -129,6 +140,48 @@ class TestSweep:
     def test_non_positive_linear_snr_errors(self):
         with pytest.raises(ValueError):
             sweep(ChannelDims(2, 2), [-1.0], GridMode.SNR_LINEAR)
+
+    @pytest.mark.parametrize(
+        "grid,mode",
+        [
+            ([math.nan], GridMode.SNR_DB),
+            ([-math.inf], GridMode.SNR_DB),
+            ([math.nan], GridMode.SNR_LINEAR),
+            ([1.0, math.inf], GridMode.INVERSE_SNR),
+            ([-4000.0], GridMode.SNR_DB),
+        ],
+    )
+    def test_non_finite_grid_errors(self, grid, mode):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(ChannelDims(2, 2), grid, mode)
+
+
+def _fraction_closed_form(table, t):
+    """The closed form with exact Fraction Horner sums, rounded once each."""
+    tf = Fraction(t)
+    poly_a = poly_b = Fraction(0)
+    for c in reversed(table.a):
+        poly_a = poly_a * tf + c
+    for c in reversed(table.b):
+        poly_b = poly_b * tf + c
+    s = ei_exp_scaled(t)
+    fa, fb = float(poly_a), float(poly_b)
+    err = max(
+        2.0 * max(abs(fa), abs(s * fb)) * 2.2e-16,
+        abs(s) * _EI_REL_ERR * abs(fb),
+    )
+    return fa + s * fb, err
+
+
+class TestIntegerHorner:
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 7), (4, 6), (8, 8), (16, 32)])
+    def test_matches_fraction_horner(self, m, n):
+        table = build_table(ChannelDims(m, n))
+        rng = random.Random(f"horner/{m}x{n}")
+        ts = [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(150)] + [1.0, 0.1, 8.0]
+        for t in ts:
+            r = evaluate_closed_form(table, t)
+            assert (r.value, r.err_estimate) == _fraction_closed_form(table, t), t
 
 
 class TestSerialization:

@@ -75,6 +75,9 @@ class TestTelatarQuadrature:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             telatar_quadrature(ChannelDims(2, 2), 0.0)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                telatar_quadrature(ChannelDims(2, 2), t)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +146,9 @@ class TestMonteCarlo:
             monte_carlo_mi(d, 0.0, 1000)
         with pytest.raises(ValueError):
             monte_carlo_mi(d, 1.0, 1000, workers=0)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                monte_carlo_mi(d, t, 1000)
 
     def test_unit_variance_entries(self):
         # at huge t, ln det(I + H H*/t) ~ tr(H H*)/t, so t * mean estimates
