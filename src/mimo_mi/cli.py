@@ -19,7 +19,6 @@ import tempfile
 from .coefficients import ChannelDims, build_table
 from .evaluator import (
     GridMode,
-    evaluate_closed_form,
     render_expression,
     results_to_csv,
     results_to_json,
@@ -255,29 +254,20 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify needs both -m and -n, or neither")
     if args.m is not None:
         dims = ChannelDims(args.m, args.n)
-        ts = args.t or [0.1, 1.0, 10.0]
-        lines = []
-        ok = True
-        table = build_table(dims)
-        for t in ts:
-            exact = evaluate_closed_form(table, t)
-            quad = telatar_quadrature(dims, t)
-            rep = monte_carlo_mi(
-                dims, t, args.mc_samples, seed=args.seed, workers=4
+        results = [
+            check_three_way(
+                rel_tol=args.rel_tol,
+                mc_samples=args.mc_samples,
+                seed=args.seed,
+                dims=[dims],
+                ts=(t,),
             )
-            rel = abs(quad.value - exact.value) / abs(exact.value)
-            sigma = abs(rep.mean - exact.value) / rep.std_error
-            point_ok = rel <= args.rel_tol and sigma <= 4.0
-            ok = ok and point_ok
-            lines.append(
-                f"{'PASS' if point_ok else 'FAIL'}  t={t}: closed={exact.value!r} "
-                f"quadrature rel err {rel:.3e}, MC {sigma:.2f} sigma"
-            )
-        _emit("\n".join(lines), args.output)
-        return 0 if ok else 2
-    results = run_all(
-        rel_tol=args.rel_tol, mc_samples=args.mc_samples, seed=args.seed
-    )
+            for t in args.t or (0.1, 1.0, 10.0)
+        ]
+    else:
+        results = run_all(
+            rel_tol=args.rel_tol, mc_samples=args.mc_samples, seed=args.seed
+        )
     _emit("\n".join(r.line() for r in results), args.output)
     return 0 if all(r.passed for r in results) else 2
 

@@ -3,15 +3,18 @@
 Three oracles that share no code path with the exact-coefficient route:
 the eigenvalue-density integral representation evaluated by adaptive
 quadrature, the one-point eigenvalue density itself (two algebraic
-forms), and Monte Carlo over random complex Gaussian channel matrices.
+forms), and Monte Carlo over Rayleigh channels, whose eigenvalues are
+drawn from the bidiagonal Laguerre model of H H* in O(m) per sample.
 Also numerical checks of the log-weighted gamma integral identity and
 the shifted-Laguerre integral expansion that the derivation rests on.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -180,34 +183,74 @@ class McReport:
         )
 
 
+# Samples drawn and reduced at once inside a chunk, so that a chunk's
+# memory stays bounded whatever its sample count.
+_MC_BLOCK = 2**16
+
+
+def _chan_merge(a, b):
+    """Chan's pairwise combination of two (count, mean, sum of squared
+    deviations) triples."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + (m2_b + delta * delta * n_a * n_b / n)
+
+
+def _log_det_bidiagonal(d2, s2, t: float):
+    """ln det(I + B B^T/t) for each column of the squared bidiagonal entries.
+
+    B is m x m lower bidiagonal with B[i, i]^2 = d2[i] and
+    B[i, i-1]^2 = s2[i-1]; d2 has shape (m, samples) and s2 (m-1, samples).
+    I + B B^T/t is tridiagonal, and its LU pivots p_i give the determinant.
+    With r_0 = 0 and p_0 - 1 = d2[0]/t, each later pivot is
+    p_i - 1 = d2[i]/t + r_i with r_i = s2[i-1] (1 + r_{i-1}) / (t p_{i-1}),
+    a sum of positive terms, so sum_i log1p(p_i - 1) loses nothing to
+    cancellation at any t.
+    """
+    import numpy as np
+
+    x = d2[0] / t
+    total = np.log1p(x)
+    r = np.zeros_like(x)
+    for i in range(1, len(d2)):
+        r = s2[i - 1] * (1.0 + r) / (t * (1.0 + x))
+        x = d2[i] / t + r
+        total += np.log1p(x)
+    return total
+
+
 def _mc_chunk(dims: ChannelDims, t: float, count: int, seed: int, chunk: int):
     """(count, mean, sum of squared deviations) for one deterministic chunk.
 
     Each chunk owns a counter-based Philox stream keyed by (seed, chunk
-    index), so results do not depend on scheduling.  Complex Gaussians
-    come from Box-Muller on the uniform stream; per-sample mutual
-    information is 2 sum ln diag(chol(I + H H*/t)), with a Hermitian
-    eigenvalue fallback should the Cholesky factorization fail.
+    index), so results do not depend on scheduling.  Samples come from the
+    bidiagonal Laguerre model (Dumitriu & Edelman, "Matrix models for beta
+    ensembles", J. Math. Phys. 43, 2002): for beta = 2 the eigenvalues of
+    H H* are distributed as those of B B^T, where B is lower bidiagonal
+    with B[i, i]^2 ~ Gamma(n - i) and B[i, i-1]^2 ~ Gamma(m - i), all
+    independent (chi^2_2k / 2 = Gamma(k) carries the unit entry variance).
+    Each sample costs 2m - 1 gamma draws and an O(m) pivot recurrence.
+    Samples are drawn and reduced in blocks of _MC_BLOCK.
     """
     import numpy as np
 
     m, n = dims.m, dims.n
     gen = np.random.Generator(np.random.Philox(key=(chunk << 64) | seed))
-    u = gen.random((count, m, n, 2))
-    radius = np.sqrt(-np.log1p(-u[..., 0]))
-    angle = 2.0 * np.pi * u[..., 1]
-    h = radius * np.cos(angle) + 1j * radius * np.sin(angle)
-    gram = np.eye(m) + h @ h.conj().swapaxes(-1, -2) / t
-    try:
-        chol = np.linalg.cholesky(gram)
-        diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-        mi = 2.0 * np.sum(np.log(diag), axis=-1)
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(gram)
-        mi = np.sum(np.log(eigs), axis=-1)
-    mean = float(np.mean(mi))
-    m2 = float(np.sum((mi - mean) ** 2))
-    return count, mean, m2
+    blocks = []
+    for start in range(0, count, _MC_BLOCK):
+        size = min(_MC_BLOCK, count - start)
+        d2 = np.empty((m, size))
+        s2 = np.empty((m - 1, size))
+        for i in range(m):
+            d2[i] = gen.standard_gamma(n - i, size)
+        for i in range(m - 1):
+            s2[i] = gen.standard_gamma(m - 1 - i, size)
+        mi = _log_det_bidiagonal(d2, s2, t)
+        mean = float(np.mean(mi))
+        blocks.append((size, mean, float(np.sum((mi - mean) ** 2))))
+    return functools.reduce(_chan_merge, blocks)
 
 
 def monte_carlo_mi(
@@ -220,36 +263,33 @@ def monte_carlo_mi(
     """Sample mean of ln det(I + H H*/t) over random Rayleigh channels.
 
     H entries are i.i.d. complex Gaussian, zero mean, unit variance
-    (variance 1/2 per real part).  The chunk reduction runs in fixed
-    index order so the report is bit-identical across runs and thread
-    schedules for the same (seed, samples, workers).
+    (variance 1/2 per real part); see _mc_chunk for how the samples are
+    drawn.  Samples are split into `workers` chunks, run on at most
+    os.cpu_count() threads.  The chunk reduction runs in fixed index
+    order so the report is bit-identical across runs and thread schedules
+    for the same (seed, samples, workers).
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"need finite t > 0, got t={t}")
     if samples < 100:
         raise ValueError(f"need samples >= 100, got {samples}")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    if not 1 <= workers <= samples:
+        raise ValueError(f"need 1 <= workers <= samples={samples}, got {workers}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     base, rem = divmod(samples, workers)
     counts = [base + 1 if c < rem else base for c in range(workers)]
-    jobs = [(c, cnt) for c, cnt in enumerate(counts) if cnt > 0]
     if workers == 1:
-        stats = [_mc_chunk(dims, t, cnt, seed, c) for c, cnt in jobs]
+        stats = [_mc_chunk(dims, t, samples, seed, 0)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             stats = list(
-                pool.map(lambda job: _mc_chunk(dims, t, job[1], seed, job[0]), jobs)
+                pool.map(
+                    lambda c: _mc_chunk(dims, t, counts[c], seed, c), range(workers)
+                )
             )
     # Chan's pairwise combination, applied left to right in chunk order.
-    n_tot, mean, m2 = stats[0]
-    for cnt, mu, dev in stats[1:]:
-        delta = mu - mean
-        new_n = n_tot + cnt
-        mean += delta * cnt / new_n
-        m2 += dev + delta * delta * n_tot * cnt / new_n
-        n_tot = new_n
+    n_tot, mean, m2 = functools.reduce(_chan_merge, stats)
     std_error = math.sqrt(m2 / (n_tot - 1) / n_tot)
     return McReport(
         dims=dims,

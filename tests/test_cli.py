@@ -168,6 +168,16 @@ class TestMc:
         )
         assert code == 1
 
+    def test_workers_beyond_samples_exit_1(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "mc", "-m", "2", "-n", "2", "--t", "1",
+            "--samples", "100", "--workers", "101",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "mimo-mi: error: need 1 <= workers <= samples=100, got 101\n"
+
 
 class TestOutputFile:
     def test_atomic_write(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mimo_mi import oracles
 from mimo_mi import (
     ChannelDims,
     QuadratureConfig,
@@ -146,16 +149,145 @@ class TestMonteCarlo:
             monte_carlo_mi(d, 0.0, 1000)
         with pytest.raises(ValueError):
             monte_carlo_mi(d, 1.0, 1000, workers=0)
+        with pytest.raises(ValueError, match="workers <= samples"):
+            monte_carlo_mi(d, 1.0, 1000, workers=1001)
         for t in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 monte_carlo_mi(d, t, 1000)
 
     def test_unit_variance_entries(self):
         # at huge t, ln det(I + H H*/t) ~ tr(H H*)/t, so t * mean estimates
-        # E tr(H H*) = m n and checks the Box-Muller variance convention
+        # E tr(H H*) = m n and checks that the bidiagonal model's gamma
+        # draws carry the unit entry variance
         t = 1e9
         rep = monte_carlo_mi(ChannelDims(2, 3), t, 200_000, seed=123)
         assert t * rep.mean == pytest.approx(6.0, abs=0.05)
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records the pool size it was
+    asked for and runs map in the calling thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestMonteCarloWorkers:
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(oracles, "ThreadPoolExecutor", _SerialPool)
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: 2)
+        rep = monte_carlo_mi(ChannelDims(2, 2), 1.0, 2000, seed=3, workers=2000)
+        assert _SerialPool.sizes == [2]
+        assert rep.worker_count == 2000 and rep.samples == 2000
+        assert abs(rep.mean - MI_2X2_T1) <= 4 * rep.std_error
+
+    def test_unknown_cpu_count_means_one_thread(self, monkeypatch):
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(oracles, "ThreadPoolExecutor", _SerialPool)
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: None)
+        monte_carlo_mi(ChannelDims(2, 2), 1.0, 1000, seed=3, workers=8)
+        assert _SerialPool.sizes == [1]
+
+    def test_pool_size_does_not_change_report(self, monkeypatch):
+        kw = dict(t=1.0, samples=10_000, seed=42, workers=4)
+        threaded = monte_carlo_mi(ChannelDims(3, 4), **kw)
+        monkeypatch.setattr(oracles, "ThreadPoolExecutor", _SerialPool)
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: 1)
+        assert monte_carlo_mi(ChannelDims(3, 4), **kw) == threaded
+
+
+def _seeded_bidiagonal(m, n, samples, seed):
+    gen = np.random.default_rng(seed)
+    d2 = gen.standard_gamma(np.arange(n, n - m, -1.0)[:, None], (m, samples))
+    s2 = gen.standard_gamma(np.arange(m - 1, 0, -1.0)[:, None], (m - 1, samples))
+    return d2, s2
+
+
+def _dense_mc(dims, t, samples, seed):
+    """The dense sampler: complex Gaussian H (unit variance, by Box-Muller)
+    and ln det(I + H H*/t) from the Cholesky factor.  Returns (mean,
+    standard error)."""
+    m, n = dims.m, dims.n
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    u = gen.random((samples, m, n, 2))
+    h = np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
+    gram = np.eye(m) + h @ h.conj().swapaxes(-1, -2) / t
+    diag = np.diagonal(np.linalg.cholesky(gram), axis1=-2, axis2=-1).real
+    mi = 2.0 * np.sum(np.log(diag), axis=-1)
+    return float(np.mean(mi)), float(np.std(mi, ddof=1)) / math.sqrt(samples)
+
+
+class TestBidiagonalSampler:
+    @pytest.mark.parametrize("m,n", [(1, 1), (4, 4), (32, 64)])
+    def test_recurrence_matches_mpmath_log_det(self, m, n):
+        d2, s2 = _seeded_bidiagonal(m, n, 3, seed=1000 * m + n)
+        for t in (1e-6, 1.0, 1e6):
+            got = oracles._log_det_bidiagonal(d2, s2, t)
+            with mpmath.workdps(50):
+                for j in range(d2.shape[1]):
+                    b = mpmath.zeros(m)
+                    for i in range(m):
+                        b[i, i] = mpmath.sqrt(d2[i, j])
+                    for i in range(1, m):
+                        b[i, i - 1] = mpmath.sqrt(s2[i - 1, j])
+                    ref = mpmath.log(mpmath.det(mpmath.eye(m) + b * b.T / t))
+                    assert abs(got[j] - ref) <= 1e-14 * abs(ref), (t, j)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 5)])
+    def test_agrees_with_dense_sampler(self, m, n):
+        dims = ChannelDims(m, n)
+        dense_mean, dense_se = _dense_mc(dims, 1.0, 50_000, seed=77)
+        rep = monte_carlo_mi(dims, 1.0, 50_000, seed=77)
+        assert abs(rep.mean - dense_mean) <= 5 * math.hypot(rep.std_error, dense_se)
+
+    def test_32x64_matches_closed_form(self):
+        dims = ChannelDims(32, 64)
+        exact = evaluate_closed_form(build_table(dims), 1.0)
+        assert exact.err_estimate < 1e-10
+        rep = monte_carlo_mi(dims, 1.0, 100_000, seed=5)
+        assert abs(rep.mean - exact.value) <= 4 * rep.std_error
+
+    def test_blocks_reduce_like_one_pass(self, monkeypatch):
+        blocks = []
+        log_det = oracles._log_det_bidiagonal
+
+        def recording(d2, s2, t):
+            blocks.append(log_det(d2, s2, t))
+            return blocks[-1]
+
+        monkeypatch.setattr(oracles, "_MC_BLOCK", 100)
+        monkeypatch.setattr(oracles, "_log_det_bidiagonal", recording)
+        count, mean, m2 = oracles._mc_chunk(ChannelDims(2, 3), 1.0, 250, 9, 0)
+        assert [len(b) for b in blocks] == [100, 100, 50]
+        mi = np.concatenate(blocks)
+        assert count == 250
+        assert mean == pytest.approx(np.mean(mi), rel=1e-14)
+        assert m2 == pytest.approx(np.sum((mi - np.mean(mi)) ** 2), rel=1e-12)
+
+    def test_chunk_memory_bounded_by_block(self):
+        dims = ChannelDims(2, 2)
+        oracles._mc_chunk(dims, 1.0, 1000, 1, 0)  # warm numpy up
+        peaks = []
+        for count in (oracles._MC_BLOCK, 8 * oracles._MC_BLOCK):
+            tracemalloc.start()
+            try:
+                oracles._mc_chunk(dims, 1.0, count, 1, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestLemma1:
