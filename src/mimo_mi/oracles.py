@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .coefficients import ChannelDims, coeff_c
 from .evaluator import EvaluationResult, Method
-from .special_functions import laguerre_coeffs, laguerre_eval, upper_gamma_int
+from .special_functions import laguerre_eval, upper_gamma_int
 
 
 class ConvergenceError(RuntimeError):
@@ -32,9 +32,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-13
     max_subdivisions: int = 500
-    # Upper integration limit is n + tail_cutoff_multiplier * (sqrt(n) + 10);
-    # the default pushes the analytic tail bound well below 1e-10.
-    tail_cutoff_multiplier: float = 6.0
 
     def __post_init__(self):
         if self.rel_tol < 1e-13:
@@ -43,29 +40,162 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if not 0 < self.max_subdivisions <= 10**6:
             raise ValueError("max_subdivisions must be in (0, 10^6]")
-        if self.tail_cutoff_multiplier <= 0:
-            raise ValueError("tail_cutoff_multiplier must be positive")
-
-    def upper_limit(self, n: int) -> float:
-        return n + self.tail_cutoff_multiplier * (math.sqrt(n) + 10.0)
 
 
-def _quad(f, a, b, cfg: QuadratureConfig) -> tuple[float, float]:
-    """scipy adaptive Gauss-Kronrod wrapper that refuses to degrade silently."""
-    from scipy import integrate
+# QUADPACK's qk21 rule on [-1, 1]: the non-negative Kronrod nodes in
+# decreasing order (the odd-indexed ones are the 10-point Gauss nodes),
+# their Kronrod weights, and the Gauss weights of _XK[1::2].
+_XK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208980457309,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# Added to the error estimate: the rounding of the integrand values and
+# of the sum over subintervals, which |K21 - G10| does not see.
+_ROUNDOFF_ULPS = 50
 
-    out = integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise ConvergenceError(f"quadrature on [{a}, {b}] failed: {out[3]}")
-    return out[0], out[1]
+
+def _quad(f, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
+    """(integral of f over [a, b], error estimate) by adaptive Gauss-Kronrod.
+
+    f takes and returns numpy arrays.  An infinite b is mapped to [0, 1)
+    by x = a + u/(1-u).  Each pass applies the 21-point Kronrod rule and
+    its embedded 10-point Gauss rule to every open subinterval in one call
+    of f; a subinterval is accepted once |K21 - G10| is within its width's
+    share of max(abs_tol, rel_tol |total|), and the others are halved.
+    Raises ConvergenceError if f is not finite at a node or more than
+    max_subdivisions subintervals are needed.
+    """
+    import numpy as np
+
+    xk = np.array(_XK)
+    nodes = np.concatenate([-xk, xk[-2::-1]])
+    weights = np.zeros((21, 2))
+    weights[:, 0] = _WK + _WK[-2::-1]
+    weights[1:10:2, 1] = _WG
+    weights[11:20:2, 1] = _WG[::-1]
+    if b == math.inf:
+        lo, hi = np.array([0.0]), np.array([1.0])
+
+        def g(u):
+            d = 1.0 - u
+            return f(a + u / d) / (d * d)
+
+    else:
+        lo, hi, g = np.array([float(a)]), np.array([float(b)]), f
+    span = hi[0] - lo[0]
+    value = err = 0.0
+    count = 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = g(mid[:, None] + half[:, None] * nodes)
+        if not np.all(np.isfinite(fx)):
+            raise ConvergenceError(f"integrand not finite on [{a}, {b}]")
+        kg = (fx @ weights) * half[:, None]
+        est = np.abs(kg[:, 0] - kg[:, 1])
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value + kg[:, 0].sum()))
+        done = est <= tol * (2.0 * half / span)
+        value += kg[done, 0].sum()
+        err += est[done].sum()
+        if done.all():
+            err += _ROUNDOFF_ULPS * np.finfo(float).eps * abs(value)
+            return float(value), float(err)
+        lo, hi, mid = lo[~done], hi[~done], mid[~done]
+        count += len(mid)
+        if count > cfg.max_subdivisions:
+            raise ConvergenceError(
+                f"quadrature on [{a}, {b}] needs more than "
+                f"{cfg.max_subdivisions} subintervals"
+            )
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def _decaying(g):
+    """x -> g(x) e^-x on arrays, 0 wherever e^-x underflows (g may overflow there)."""
+    import numpy as np
+
+    def f(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            damp = np.exp(-x)
+            return np.where(damp > 0, g(x) * damp, 0.0)
+
+    return f
+
+
+def _root_weight(alpha: int, lam):
+    """sqrt(e^-lam lam^alpha / alpha!) on an array of lam > 0."""
+    import numpy as np
+
+    return np.exp(0.5 * (alpha * np.log(lam) - lam - math.lgamma(alpha + 1)))
+
+
+def _weighted_kernel(m: int, alpha: int, lam, root_weight):
+    """e^-lam lam^alpha K(lam), K(lam) = sum_{k<m} k!/(alpha+k)! L_k^(alpha)(lam)^2,
+    given root_weight = sqrt(e^-lam lam^alpha / alpha!).
+
+    One pass of the three-term recurrence of the orthonormal polynomials
+    l_k = sqrt(k!/(alpha+k)!) L_k^(alpha), each scaled by root_weight:
+    every term is a square, nothing overflows where the weight underflows,
+    and lam may be a float or a numpy array.
+    """
+    prev, cur = 0.0, root_weight
+    total = cur * cur
+    for k in range(m - 1):
+        prev, cur = cur, (
+            (2 * k + 1 + alpha - lam) * cur - math.sqrt(k * (alpha + k)) * prev
+        ) / math.sqrt((k + 1) * (alpha + k + 1))
+        total = total + cur * cur
+    return total
+
+
+def _density(dims: ChannelDims, lam, form: str, root_weight):
+    """The one-point density in `form`, given root_weight as for
+    _weighted_kernel; lam may be a float or a numpy array.  The two-term
+    form scales each Laguerre factor by root_weight before multiplying."""
+    m, n = dims.m, dims.n
+    alpha = n - m
+    if form == "sum_form":
+        return _weighted_kernel(m, alpha, lam, root_weight) / m
+    pref = math.factorial(m - 1) * math.factorial(alpha) / math.factorial(n - 1)
+    lm1 = root_weight * laguerre_eval(m - 1, alpha + 1, lam)
+    cross = 0.0
+    if m >= 2:
+        cross = (root_weight * laguerre_eval(m - 2, alpha + 1, lam)) * (
+            root_weight * laguerre_eval(m, alpha + 1, lam)
+        )
+    return pref * (lm1 * lm1 - cross)
+
+
+_DENSITY_FORMS = ("sum_form", "two_term_form")
 
 
 def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> float:
@@ -77,24 +207,16 @@ def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> 
     """
     if lam < 0:
         raise ValueError(f"need lambda >= 0, got {lam}")
-    m, n = dims.m, dims.n
-    alpha = n - m
-    if form == "sum_form":
-        acc = 0.0
-        for k in range(m):
-            pref = math.factorial(k) / math.factorial(alpha + k)
-            acc += pref * laguerre_eval(k, alpha, lam) ** 2
-        return math.exp(-lam) * lam**alpha * acc / m
-    if form == "two_term_form":
-        pref = math.factorial(m - 1) / math.factorial(n - 1)
-        lm1 = laguerre_eval(m - 1, alpha + 1, lam)
-        cross = 0.0
-        if m >= 2:
-            cross = laguerre_eval(m - 2, alpha + 1, lam) * laguerre_eval(
-                m, alpha + 1, lam
-            )
-        return pref * lam**alpha * math.exp(-lam) * (lm1**2 - cross)
-    raise ValueError(f"unknown density form {form!r}")
+    if form not in _DENSITY_FORMS:
+        raise ValueError(f"unknown density form {form!r}")
+    alpha = dims.n - dims.m
+    if lam > 0:
+        root_weight = math.exp(
+            0.5 * (alpha * math.log(lam) - lam - math.lgamma(alpha + 1))
+        )
+    else:
+        root_weight = float(alpha == 0)
+    return _density(dims, lam, form, root_weight)
 
 
 def density_moment(
@@ -104,13 +226,15 @@ def density_moment(
     cfg: QuadratureConfig | None = None,
 ) -> float:
     """integral of lambda^power * p(lambda) over [0, inf)."""
+    if form not in _DENSITY_FORMS:
+        raise ValueError(f"unknown density form {form!r}")
     cfg = cfg or QuadratureConfig()
-    val, _ = _quad(
-        lambda lam: lam**power * one_point_density(dims, lam, form),
-        0.0,
-        math.inf,
-        cfg,
-    )
+    alpha = dims.n - dims.m
+
+    def integrand(lam):
+        return lam**power * _density(dims, lam, form, _root_weight(alpha, lam))
+
+    val, _ = _quad(integrand, 0.0, math.inf, cfg)
     return val
 
 
@@ -119,39 +243,25 @@ def telatar_quadrature(
 ) -> EvaluationResult:
     """E[I] from the density-integral representation by adaptive quadrature.
 
-    Integrates sum_k k!/(alpha+k)! int ln(1+lam/t) e^-lam lam^alpha
-    (L_k^(alpha))^2 dlam over a truncated range; the truncation tail is
-    bounded analytically (ln(1+x/t) <= x/t plus an incomplete-gamma
-    bound on the polynomial part) and added to err_estimate.
+    One integral over [0, inf) of ln(1 + lam/t) e^-lam lam^alpha K(lam),
+    where K(lam) = sum_{k<m} k!/(alpha+k)! (L_k^(alpha)(lam))^2 comes from
+    one pass of the Laguerre recurrence at every node (_weighted_kernel).
+    err_estimate is the integrator's own.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"need finite t > 0, got t={t}")
+    import numpy as np
+
     cfg = cfg or QuadratureConfig()
-    m, n = dims.m, dims.n
-    alpha = n - m
-    upper = cfg.upper_limit(n)
-    total = 0.0
-    err = 0.0
-    for k in range(m):
-        pref = math.factorial(k) / math.factorial(alpha + k)
+    m, alpha = dims.m, dims.n - dims.m
 
-        def integrand(lam, k=k):
-            return (
-                math.log1p(lam / t)
-                * math.exp(-lam)
-                * lam**alpha
-                * laguerre_eval(k, alpha, lam) ** 2
-            )
+    def integrand(lam):
+        kernel = _weighted_kernel(m, alpha, lam, _root_weight(alpha, lam))
+        return np.log1p(lam / t) * kernel
 
-        val, abserr = _quad(integrand, 0.0, upper, cfg)
-        total += pref * val
-        err += pref * abserr
-        # Tail: bound the degree-d polynomial by (sum |coeffs|) x^d for x >= 1.
-        poly = (laguerre_coeffs(k, alpha) * laguerre_coeffs(k, alpha)).shift_up(alpha)
-        coeff_mass = float(sum(abs(c) for c in poly.coeffs))
-        err += pref * coeff_mass / t * upper_gamma_int(poly.degree + 2, upper)
+    value, err = _quad(integrand, 0.0, math.inf, cfg)
     return EvaluationResult(
-        dims=dims, t=t, value=total, method=Method.QUADRATURE, err_estimate=err
+        dims=dims, t=t, value=value, method=Method.QUADRATURE, err_estimate=err
     )
 
 
@@ -317,8 +427,10 @@ def lemma1_check(
         raise ValueError(f"need t > 0, got t={t}")
     if not 0 <= k <= 20:
         raise ValueError(f"need 0 <= k <= 20, got {k}")
+    import numpy as np
+
     cfg = cfg or QuadratureConfig()
-    lhs, _ = _quad(lambda x: x**k * math.exp(-x) * math.log(x), t, math.inf, cfg)
+    lhs, _ = _quad(_decaying(lambda x: x**k * np.log(x)), t, math.inf, cfg)
     return lhs, _log_gamma_integral(k, t)
 
 
@@ -344,21 +456,19 @@ def a_pq_check(
         raise ValueError(f"degrees must lie in [0, m]={m}, got p={p}, q={q}")
     if t <= 0:
         raise ValueError(f"need t > 0, got t={t}")
+    import numpy as np
+
     cfg = cfg or QuadratureConfig()
     alpha = n - m
 
-    def integrand(x):
-        y = x - t
-        return (
-            laguerre_eval(p, alpha + 1, y)
-            * laguerre_eval(q, alpha + 1, y)
-            * y**alpha
-            * math.exp(-x)
-            * math.log(x)
-        )
-
-    raw, _ = _quad(integrand, t, math.inf, cfg)
-    integral = math.exp(t) * raw
+    # In y = x - t, e^t e^-x = e^-y: the substitution absorbs the e^t factor.
+    integrand = _decaying(
+        lambda y: laguerre_eval(p, alpha + 1, y)
+        * laguerre_eval(q, alpha + 1, y)
+        * y**alpha
+        * np.log(t + y)
+    )
+    integral, _ = _quad(integrand, 0.0, math.inf, cfg)
 
     terms = []
     for i in range(p + q + 1):

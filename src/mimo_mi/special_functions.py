@@ -49,21 +49,6 @@ class PolyRational:
             acc = acc * x + c
         return acc
 
-    def __mul__(self, other: "PolyRational") -> "PolyRational":
-        if not self.coeffs or not other.coeffs:
-            return PolyRational(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyRational(tuple(out))
-
-    def shift_up(self, k: int) -> "PolyRational":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return PolyRational((Fraction(0),) * k + self.coeffs)
-
 
 @lru_cache(maxsize=None)
 def laguerre_coeffs(k: int, alpha: int) -> PolyRational:

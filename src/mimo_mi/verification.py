@@ -8,7 +8,6 @@ command and the acceptance test suite are thin wrappers around these.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ from .coefficients import ChannelDims, build_table, coeff_c
 from .evaluator import evaluate_closed_form, render_expression
 from .oracles import (
     QuadratureConfig,
+    _quad,
     density_moment,
     lemma1_check,
     lnt_identity_check,
@@ -73,29 +73,23 @@ def check_reference_expressions() -> CheckResult:
 
 def check_orthogonality(tol: float = 1e-9) -> CheckResult:
     """Laguerre orthogonality under the x^alpha e^-x weight by quadrature."""
-    from scipy import integrate
+    import numpy as np
 
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-11, max_subdivisions=200)
     worst = 0.0
     for alpha in (0, 1, 2, 4):
         for k in range(7):
             for l in range(k, 7):
                 # finite cutoff: the weight is ~1e-40 by x=150, far below tol.
-                # Off-diagonal integrals are exact zeros, so QUADPACK flags
-                # roundoff even though the result is fine; the tolerance
-                # assertion below is the real gate.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                    val, _ = integrate.quad(
-                        lambda x: x**alpha
-                        * math.exp(-x)
-                        * laguerre_eval(k, alpha, x)
-                        * laguerre_eval(l, alpha, x),
-                        0.0,
-                        150.0,
-                        epsabs=1e-11,
-                        epsrel=1e-11,
-                        limit=200,
-                    )
+                val, _ = _quad(
+                    lambda x: x**alpha
+                    * np.exp(-x)
+                    * laguerre_eval(k, alpha, x)
+                    * laguerre_eval(l, alpha, x),
+                    0.0,
+                    150.0,
+                    cfg,
+                )
                 target = (
                     math.factorial(alpha + k) / math.factorial(k) if k == l else 0.0
                 )

@@ -231,3 +231,14 @@ def test_import_loads_neither_numpy_nor_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    # the oracles need numpy alone
+    code = (
+        "import sys, mimo_mi.cli as cli; "
+        "assert cli.run(['eval', '-m', '3', '-n', '5', '--t', '0.5', '--quadrature']) == 0; "
+        "assert cli.run(['verify', '-m', '2', '-n', '2', '--t', '1']) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"

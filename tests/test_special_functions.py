@@ -197,8 +197,3 @@ class TestPolyRational:
         p = PolyRational((Fraction(0),))
         assert p.coeffs == ()
         assert p(Fraction(5)) == 0
-
-    def test_multiplication(self):
-        p = PolyRational((Fraction(1), Fraction(1)))  # 1 + x
-        q = p * p
-        assert q.coeffs == (Fraction(1), Fraction(2), Fraction(1))
