@@ -11,8 +11,6 @@ from .coefficients import (
     ChannelDims,
     CoefficientTable,
     build_table,
-    coeff_a,
-    coeff_b,
     coeff_c,
 )
 from .evaluator import (
@@ -38,11 +36,8 @@ from .oracles import (
     telatar_quadrature,
 )
 from .special_functions import (
-    PolyRational,
     ei_exp_scaled,
     exp_integral_ei_neg,
-    harmonic,
-    laguerre_coeffs,
     laguerre_eval,
     upper_gamma_int,
 )
@@ -55,19 +50,14 @@ __all__ = [
     "GridMode",
     "McReport",
     "Method",
-    "PolyRational",
     "QuadratureConfig",
     "a_pq_check",
     "build_table",
-    "coeff_a",
-    "coeff_b",
     "coeff_c",
     "density_moment",
     "ei_exp_scaled",
     "evaluate_closed_form",
     "exp_integral_ei_neg",
-    "harmonic",
-    "laguerre_coeffs",
     "laguerre_eval",
     "lemma1_check",
     "lnt_identity_check",

@@ -19,6 +19,7 @@ import tempfile
 from .coefficients import ChannelDims, build_table
 from .evaluator import (
     GridMode,
+    _grid_to_ts,
     render_expression,
     results_to_csv,
     results_to_json,
@@ -145,26 +146,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_ts(args) -> list[float]:
+def _resolve_grid(args) -> tuple[list[float], GridMode]:
     if args.t is not None and args.snr_db is not None:
         raise ValueError("give either --t or --snr-db, not both")
     if args.t is not None:
-        if not args.t:
-            raise ValueError("empty t list")
-        for t in args.t:
-            if not (math.isfinite(t) and t > 0):
-                raise ValueError(f"t must be finite and positive, got {t}")
-        return list(args.t)
+        return args.t, GridMode.INVERSE_SNR
     if args.snr_db is not None:
-        grid = _parse_grid(args.snr_db)
-        if not grid:
-            raise ValueError("empty SNR grid")
-        try:
-            return [10.0 ** (-g / 10.0) for g in grid]
-        except OverflowError:
-            raise ValueError(
-                f"SNR grid {args.snr_db!r} dB maps to t beyond float range"
-            ) from None
+        return _parse_grid(args.snr_db), GridMode.SNR_DB
     raise ValueError("one of --t or --snr-db is required")
 
 
@@ -216,11 +204,11 @@ def _cmd_render(args) -> int:
 
 def _cmd_eval_sweep(args) -> int:
     dims = ChannelDims(args.m, args.n)
-    ts = _resolve_ts(args)
+    grid, mode = _resolve_grid(args)
     if getattr(args, "quadrature", False):
-        results = [telatar_quadrature(dims, t) for t in ts]
+        results = [telatar_quadrature(dims, t) for t in _grid_to_ts(grid, mode)]
     else:
-        results = sweep(dims, ts, GridMode.INVERSE_SNR)
+        results = sweep(dims, grid, mode)
     _emit(_format_results(results, args.format), args.output)
     return 0
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .special_functions import harmonic
-
 
 @dataclass(frozen=True)
 class ChannelDims:
@@ -93,10 +91,12 @@ def _a_from_sums(k: int, dims: ChannelDims, sums: tuple[list[int], int]) -> Frac
     nums, den = sums
     d = dims.n - dims.m
     if k == 0:
-        acc = sum(
-            (math.factorial(i + d) * harmonic(i + d) * c for i, c in enumerate(nums)),
-            Fraction(0),
-        )
+        # h = H_{i+d} = 1 + 1/2 + ... + 1/(i+d), kept as a running sum
+        h = sum((Fraction(1, l) for l in range(1, d + 1)), Fraction(0))
+        acc = Fraction(0)
+        for i, c in enumerate(nums):
+            acc += math.factorial(i + d) * h * c
+            h += Fraction(1, i + d + 1)
         return acc / den
     fk = math.factorial(k)
     acc = sum(
@@ -115,22 +115,6 @@ def _b_from_sums(k: int, dims: ChannelDims, sums: tuple[list[int], int]) -> Frac
         return Fraction(-((-1) ** k) * dims.m, math.factorial(k))
     acc = sum(math.factorial(i + d) * nums[i] for i in range(k - d, len(nums)))
     return Fraction(-((-1) ** k) * acc, math.factorial(k) * den)
-
-
-def coeff_a(k: int, dims: ChannelDims) -> Fraction:
-    """Coefficient a_k of the polynomial part, 0 <= k <= n+m-3."""
-    m, n = dims.m, dims.n
-    if not 0 <= k <= n + m - 3:
-        raise IndexError(f"a_k index {k} outside [0, {n + m - 3}] for dims ({m}, {n})")
-    return _a_from_sums(k, dims, _column_sums(dims))
-
-
-def coeff_b(k: int, dims: ChannelDims) -> Fraction:
-    """Coefficient b_k of the e^t Ei(-t) part, 0 <= k <= n+m-2."""
-    m, n = dims.m, dims.n
-    if not 0 <= k <= n + m - 2:
-        raise IndexError(f"b_k index {k} outside [0, {n + m - 2}] for dims ({m}, {n})")
-    return _b_from_sums(k, dims, _column_sums(dims))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coefficients import ChannelDims, CoefficientTable, build_table
-from .special_functions import ei_exp_scaled
+from .special_functions import _check_t, ei_exp_scaled
 
 # Relative accuracy of the Ei(-t) evaluation, used in the error model.
 _EI_REL_ERR = 1e-15
@@ -72,8 +72,7 @@ def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
 
 def evaluate_closed_form(table: CoefficientTable, t: float) -> EvaluationResult:
     """E[I] = sum a_k t^k + e^t Ei(-t) sum b_k t^k at finite inverse SNR t > 0."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"need finite t > 0, got t={t}")
+    _check_t(t)
     p, q = t.as_integer_ratio()
     num_a, den_a = _horner(table.a_num, p, q)
     num_b, den_b = _horner(table.b_num, p, q)
@@ -136,19 +135,11 @@ def render_expression(table: CoefficientTable) -> str:
     return f"1/{lcd} ({core})"
 
 
-def sweep(
-    dims: ChannelDims,
-    grid: Sequence[float],
-    mode: GridMode = GridMode.SNR_DB,
-) -> list[EvaluationResult]:
-    """Evaluate the closed form over an SNR grid, one result per point.
-
-    Grid values are SNRs in dB or linear scale, or inverse-SNR t values
-    directly, per mode; results keep the input order.
-    """
+def _grid_to_ts(grid: Sequence[float], mode: GridMode) -> list[float]:
+    """The inverse SNR t of each grid point, in order; each must be finite
+    and positive."""
     if len(grid) == 0:
         raise ValueError("empty SNR grid")
-    table = build_table(dims)
     ts = []
     for g in grid:
         if mode is GridMode.SNR_DB:
@@ -162,9 +153,26 @@ def sweep(
             t = 1.0 / g
         else:
             t = float(g)
-        if not (math.isfinite(t) and t > 0):
-            raise ValueError(f"grid point {g} maps to t={t}, need finite t > 0")
+        try:
+            _check_t(t)
+        except ValueError as exc:
+            raise ValueError(f"grid point {g}: {exc}") from None
         ts.append(t)
+    return ts
+
+
+def sweep(
+    dims: ChannelDims,
+    grid: Sequence[float],
+    mode: GridMode = GridMode.SNR_DB,
+) -> list[EvaluationResult]:
+    """Evaluate the closed form over an SNR grid, one result per point.
+
+    Grid values are SNRs in dB or linear scale, or inverse-SNR t values
+    directly, per mode; results keep the input order.
+    """
+    ts = _grid_to_ts(grid, mode)
+    table = build_table(dims)
     return [evaluate_closed_form(table, t) for t in ts]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .coefficients import ChannelDims, coeff_c
 from .evaluator import EvaluationResult, Method
-from .special_functions import laguerre_eval, upper_gamma_int
+from .special_functions import _check_t, laguerre_eval, upper_gamma_int
 
 
 class ConvergenceError(RuntimeError):
@@ -83,7 +83,9 @@ _WG = (
 _ROUNDOFF_ULPS = 50
 
 
-def _quad(f, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
+def _quad(
+    f, a: float, b: float, cfg: QuadratureConfig = QuadratureConfig()
+) -> tuple[float, float]:
     """(integral of f over [a, b], error estimate) by adaptive Gauss-Kronrod.
 
     f takes and returns numpy arrays.  An infinite b is mapped to [0, 1)
@@ -219,28 +221,18 @@ def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> 
     return _density(dims, lam, form, root_weight)
 
 
-def density_moment(
-    dims: ChannelDims,
-    power: int = 0,
-    form: str = "sum_form",
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def density_moment(dims: ChannelDims, power: int = 0) -> float:
     """integral of lambda^power * p(lambda) over [0, inf)."""
-    if form not in _DENSITY_FORMS:
-        raise ValueError(f"unknown density form {form!r}")
-    cfg = cfg or QuadratureConfig()
     alpha = dims.n - dims.m
 
     def integrand(lam):
-        return lam**power * _density(dims, lam, form, _root_weight(alpha, lam))
+        return lam**power * _density(dims, lam, "sum_form", _root_weight(alpha, lam))
 
-    val, _ = _quad(integrand, 0.0, math.inf, cfg)
+    val, _ = _quad(integrand, 0.0, math.inf)
     return val
 
 
-def telatar_quadrature(
-    dims: ChannelDims, t: float, cfg: QuadratureConfig | None = None
-) -> EvaluationResult:
+def telatar_quadrature(dims: ChannelDims, t: float) -> EvaluationResult:
     """E[I] from the density-integral representation by adaptive quadrature.
 
     One integral over [0, inf) of ln(1 + lam/t) e^-lam lam^alpha K(lam),
@@ -248,18 +240,16 @@ def telatar_quadrature(
     one pass of the Laguerre recurrence at every node (_weighted_kernel).
     err_estimate is the integrator's own.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"need finite t > 0, got t={t}")
+    _check_t(t)
     import numpy as np
 
-    cfg = cfg or QuadratureConfig()
     m, alpha = dims.m, dims.n - dims.m
 
     def integrand(lam):
         kernel = _weighted_kernel(m, alpha, lam, _root_weight(alpha, lam))
         return np.log1p(lam / t) * kernel
 
-    value, err = _quad(integrand, 0.0, math.inf, cfg)
+    value, err = _quad(integrand, 0.0, math.inf)
     return EvaluationResult(
         dims=dims, t=t, value=value, method=Method.QUADRATURE, err_estimate=err
     )
@@ -296,6 +286,9 @@ class McReport:
 # Samples drawn and reduced at once inside a chunk, so that a chunk's
 # memory stays bounded whatever its sample count.
 _MC_BLOCK = 2**16
+# Most chunks (`workers`) one call may split its samples into: each chunk
+# is a list entry and a future, built before any sample is drawn.
+_MC_MAX_WORKERS = 1024
 
 
 def _chan_merge(a, b):
@@ -374,30 +367,26 @@ def monte_carlo_mi(
 
     H entries are i.i.d. complex Gaussian, zero mean, unit variance
     (variance 1/2 per real part); see _mc_chunk for how the samples are
-    drawn.  Samples are split into `workers` chunks, run on at most
-    os.cpu_count() threads.  The chunk reduction runs in fixed index
-    order so the report is bit-identical across runs and thread schedules
-    for the same (seed, samples, workers).
+    drawn.  Samples are split into `workers` chunks (at most
+    _MC_MAX_WORKERS), run on at most os.cpu_count() threads.  The chunk
+    reduction runs in fixed index order so the report is bit-identical
+    across runs and thread schedules for the same (seed, samples, workers).
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"need finite t > 0, got t={t}")
+    _check_t(t)
     if samples < 100:
         raise ValueError(f"need samples >= 100, got {samples}")
     if not 1 <= workers <= samples:
         raise ValueError(f"need 1 <= workers <= samples={samples}, got {workers}")
+    if workers > _MC_MAX_WORKERS:
+        raise ValueError(f"need workers <= {_MC_MAX_WORKERS}, got {workers}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     base, rem = divmod(samples, workers)
     counts = [base + 1 if c < rem else base for c in range(workers)]
-    if workers == 1:
-        stats = [_mc_chunk(dims, t, samples, seed, 0)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            stats = list(
-                pool.map(
-                    lambda c: _mc_chunk(dims, t, counts[c], seed, c), range(workers)
-                )
-            )
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        stats = list(
+            pool.map(lambda c: _mc_chunk(dims, t, counts[c], seed, c), range(workers))
+        )
     # Chan's pairwise combination, applied left to right in chunk order.
     n_tot, mean, m2 = functools.reduce(_chan_merge, stats)
     std_error = math.sqrt(m2 / (n_tot - 1) / n_tot)
@@ -419,18 +408,14 @@ def _log_gamma_integral(k: int, t: float) -> float:
     return upper_gamma_int(k + 1, t) * math.log(t) + math.factorial(k) * tail
 
 
-def lemma1_check(
-    k: int, t: float, cfg: QuadratureConfig | None = None
-) -> tuple[float, float]:
+def lemma1_check(k: int, t: float) -> tuple[float, float]:
     """Quadrature vs closed form for int_t^inf x^k e^-x ln x dx."""
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
+    _check_t(t)
     if not 0 <= k <= 20:
         raise ValueError(f"need 0 <= k <= 20, got {k}")
     import numpy as np
 
-    cfg = cfg or QuadratureConfig()
-    lhs, _ = _quad(_decaying(lambda x: x**k * np.log(x)), t, math.inf, cfg)
+    lhs, _ = _quad(_decaying(lambda x: x**k * np.log(x)), t, math.inf)
     return lhs, _log_gamma_integral(k, t)
 
 
@@ -438,13 +423,7 @@ def _comb0(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def a_pq_check(
-    p: int,
-    q: int,
-    dims: ChannelDims,
-    t: float,
-    cfg: QuadratureConfig | None = None,
-) -> tuple[float, float]:
+def a_pq_check(p: int, q: int, dims: ChannelDims, t: float) -> tuple[float, float]:
     """Shifted-Laguerre integral vs its triple-sum expansion.
 
     integral = e^t int_t^inf L_p^(a+1)(x-t) L_q^(a+1)(x-t) (x-t)^(n-m)
@@ -454,11 +433,9 @@ def a_pq_check(
     m, n = dims.m, dims.n
     if not (0 <= p <= m and 0 <= q <= m):
         raise ValueError(f"degrees must lie in [0, m]={m}, got p={p}, q={q}")
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
+    _check_t(t)
     import numpy as np
 
-    cfg = cfg or QuadratureConfig()
     alpha = n - m
 
     # In y = x - t, e^t e^-x = e^-y: the substitution absorbs the e^t factor.
@@ -468,7 +445,7 @@ def a_pq_check(
         * y**alpha
         * np.log(t + y)
     )
-    integral, _ = _quad(integrand, 0.0, math.inf, cfg)
+    integral, _ = _quad(integrand, 0.0, math.inf)
 
     terms = []
     for i in range(p + q + 1):
@@ -496,8 +473,7 @@ def lnt_identity_check(dims: ChannelDims, t: float) -> float:
     """The cancellation identity behind removing ln t from the closed form:
     returns e^t sum_ij c_ij sum_k C(i+n-m, k) (-t)^(i+n-m-k) Gamma(k+1, t),
     which must equal m."""
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
+    _check_t(t)
     m, n = dims.m, dims.n
     terms = []
     for i in range(2 * m - 1):

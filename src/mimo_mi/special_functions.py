@@ -1,19 +1,15 @@
 """Special functions used by the closed form and its oracles.
 
-Laguerre polynomials (exact rational coefficients and stable float
-evaluation), integer-order upper incomplete gamma, the exponential
-integral Ei(-t), and harmonic numbers.
+Laguerre polynomials (stable float evaluation), integer-order upper
+incomplete gamma, and the exponential integral Ei(-t).
 
-All functions here are pure; the only shared state is read-only
-memoization, so everything is safe to call concurrently.
+All functions here are pure and share no state, so everything is safe
+to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -22,48 +18,10 @@ import mpmath
 _EI_MPMATH_CUTOFF = 8.0
 
 
-@dataclass(frozen=True)
-class PolyRational:
-    """Polynomial with exact rational coefficients, coeffs[i] * x**i.
-
-    Stored in canonical form: the trailing (highest-index) coefficient
-    is nonzero unless the polynomial is identically zero.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        c = list(self.coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(Fraction(x) for x in c))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        """Horner evaluation; exact if x is a Fraction or int."""
-        acc = 0 if not self.coeffs else self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-
-@lru_cache(maxsize=None)
-def laguerre_coeffs(k: int, alpha: int) -> PolyRational:
-    """Exact coefficients of the generalized Laguerre polynomial L_k^(alpha).
-
-    coeff of x^i is (-1)^i * C(alpha + k, k - i) / i!.  Degree is exactly
-    k with leading coefficient (-1)^k / k!.
-    """
-    if k < 0 or alpha < 0:
-        raise ValueError(f"need k >= 0 and alpha >= 0, got k={k}, alpha={alpha}")
-    coeffs = tuple(
-        Fraction((-1) ** i * math.comb(alpha + k, k - i), math.factorial(i))
-        for i in range(k + 1)
-    )
-    return PolyRational(coeffs)
+def _check_t(t: float) -> None:
+    """Raise ValueError unless t is a finite inverse SNR t > 0."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got t={t}")
 
 
 def laguerre_eval(k: int, alpha: int, x: float) -> float:
@@ -90,8 +48,7 @@ def upper_gamma_int(s: int, t: float) -> float:
     positive, no cancellation).  Gamma(0, t) = -Ei(-t) shares the Ei
     code path exactly.
     """
-    if t <= 0:
-        raise ValueError(f"need t > 0, got t={t}")
+    _check_t(t)
     if s < 0:
         raise ValueError(f"need s >= 0, got s={s}")
     if s == 0:
@@ -148,8 +105,7 @@ def exp_integral_ei_neg(t: float) -> float:
     Positive arguments of Ei are deliberately unsupported; nothing in
     this package needs them.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"need finite t > 0, got t={t}")
+    _check_t(t)
     if t <= _EI_MPMATH_CUTOFF:
         return _ei_neg_mpmath(t)[0]
     return _ei_neg_lentz(t) * math.exp(-t)
@@ -157,18 +113,8 @@ def exp_integral_ei_neg(t: float) -> float:
 
 def ei_exp_scaled(t: float) -> float:
     """e^t * Ei(-t) for t > 0, computed without overflow for large t."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"need finite t > 0, got t={t}")
+    _check_t(t)
     if t <= _EI_MPMATH_CUTOFF:
         return _ei_neg_mpmath(t)[1]
     return _ei_neg_lentz(t)
 
-
-@lru_cache(maxsize=None)
-def harmonic(l: int) -> Fraction:
-    """Exact harmonic number H_l = sum_{k=1}^{l} 1/k; harmonic(0) = 0."""
-    if l < 0:
-        raise ValueError(f"need l >= 0, got l={l}")
-    if l == 0:
-        return Fraction(0)
-    return harmonic(l - 1) + Fraction(1, l)

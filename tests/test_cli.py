@@ -45,6 +45,12 @@ class TestCoeffs:
         assert code == 1
         assert "error" in err
 
+    def test_large_n(self, capsys):
+        code, out, _ = invoke(capsys, "coeffs", "-m", "1", "-n", "1200", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["m"], obj["n"], len(obj["a"]), len(obj["b"])) == (1, 1200, 1199, 1200)
+
 
 class TestRender:
     def test_2x4(self, capsys):
@@ -177,6 +183,16 @@ class TestMc:
         assert code == 1
         assert out == ""
         assert err == "mimo-mi: error: need 1 <= workers <= samples=100, got 101\n"
+
+    def test_workers_beyond_cap_exit_1(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "mc", "-m", "2", "-n", "2", "--t", "1",
+            "--samples", "100000000", "--workers", "100000000",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "mimo-mi: error: need workers <= 1024, got 100000000\n"
 
 
 class TestOutputFile:

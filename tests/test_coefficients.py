@@ -11,10 +11,12 @@ from mimo_mi import (
     ChannelDims,
     CoefficientTable,
     build_table,
-    coeff_a,
-    coeff_b,
     coeff_c,
 )
+
+
+def _harmonic(l):
+    return sum((Fraction(1, k) for k in range(1, l + 1)), Fraction(0))
 
 
 class TestChannelDims:
@@ -47,36 +49,40 @@ class TestCoeffC:
 
 class TestCoeffAB:
     def test_a_2x2(self):
-        d = ChannelDims(2, 2)
-        assert coeff_a(0, d) == 1
-        assert coeff_a(1, d) == -1
+        t = build_table(ChannelDims(2, 2))
+        assert t.a[0] == 1
+        assert t.a[1] == -1
 
     def test_a0_2x4(self):
-        assert coeff_a(0, ChannelDims(2, 4)) == Fraction(10, 3)
+        assert build_table(ChannelDims(2, 4)).a[0] == Fraction(10, 3)
 
     def test_b_2x2(self):
-        d = ChannelDims(2, 2)
-        assert coeff_b(0, d) == -2
-        assert coeff_b(1, d) == 0
-        assert coeff_b(2, d) == -1
+        t = build_table(ChannelDims(2, 2))
+        assert t.b[0] == -2
+        assert t.b[1] == 0
+        assert t.b[2] == -1
 
     def test_b4_2x4(self):
-        assert coeff_b(4, ChannelDims(2, 4)) == Fraction(-1, 6)
+        assert build_table(ChannelDims(2, 4)).b[4] == Fraction(-1, 6)
 
     def test_first_branch_b(self):
         # b_k = -(-1)^k m / k! for k <= n - m
-        d = ChannelDims(2, 6)
+        t = build_table(ChannelDims(2, 6))
         for k in range(5):
-            assert coeff_b(k, d) == Fraction(-((-1) ** k) * 2, math.factorial(k))
+            assert t.b[k] == Fraction(-((-1) ** k) * 2, math.factorial(k))
 
     def test_index_errors(self):
-        d = ChannelDims(2, 2)
+        # a_k exists for 0 <= k <= n+m-3 and b_k for 0 <= k <= n+m-2
+        t = build_table(ChannelDims(2, 2))
         with pytest.raises(IndexError):
-            coeff_a(2, d)
+            t.a[2]
         with pytest.raises(IndexError):
-            coeff_a(-1, d)
-        with pytest.raises(IndexError):
-            coeff_b(3, d)
+            t.b[3]
+
+    def test_a0_is_harmonic_for_large_n(self):
+        # a_0 = H_{n-1} for m = 1; n = 1200 once overflowed the recursion
+        # limit of a recursive harmonic number
+        assert build_table(ChannelDims(1, 1200)).a[0] == _harmonic(1199)
 
 
 class TestBuildTable:
@@ -181,10 +187,31 @@ class TestFrozenTables:
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
     def test_single_coefficients_match_table(self):
+        # each coefficient on its own, in Fractions, from the full c_ij
+        # triangle: b_k = -(-1)^k / k! sum_{i >= k-d} (i+d)! C_i for every k,
+        # a_0 = sum_i (i+d)! H_{i+d} C_i and, for k >= 1,
+        # a_k = (-1)^k / (k k!) sum_{i > k-d} ((i+d)! - k! (i+d-k)!) C_i
         d = ChannelDims(5, 9)
+        m, n, dd = d.m, d.n, d.n - d.m
+        C = [sum(coeff_c(i, j, d) for j in range(i + 1)) for i in range(2 * m - 1)]
+        f = math.factorial
+
+        def a(k):
+            if k == 0:
+                return sum(f(i + dd) * _harmonic(i + dd) * c for i, c in enumerate(C))
+            acc = sum(
+                (f(i + dd) - f(k) * f(i + dd - k)) * C[i]
+                for i in range(max(0, k - dd + 1), len(C))
+            )
+            return Fraction((-1) ** k, k * f(k)) * acc
+
+        def b(k):
+            acc = sum(f(i + dd) * C[i] for i in range(max(0, k - dd), len(C)))
+            return Fraction(-((-1) ** k), f(k)) * acc
+
         t = build_table(d)
-        assert tuple(coeff_a(k, d) for k in range(len(t.a))) == t.a
-        assert tuple(coeff_b(k, d) for k in range(len(t.b))) == t.b
+        assert tuple(a(k) for k in range(n + m - 2)) == t.a
+        assert tuple(b(k) for k in range(n + m - 1)) == t.b
 
     def test_build_uses_each_c_once(self, monkeypatch):
         calls = []

@@ -312,9 +312,10 @@ class TestMonteCarloWorkers:
         monkeypatch.setattr(_SerialPool, "sizes", [])
         monkeypatch.setattr(oracles, "ThreadPoolExecutor", _SerialPool)
         monkeypatch.setattr(oracles.os, "cpu_count", lambda: 2)
-        rep = monte_carlo_mi(ChannelDims(2, 2), 1.0, 2000, seed=3, workers=2000)
+        cap = oracles._MC_MAX_WORKERS
+        rep = monte_carlo_mi(ChannelDims(2, 2), 1.0, 2 * cap, seed=3, workers=cap)
         assert _SerialPool.sizes == [2]
-        assert rep.worker_count == 2000 and rep.samples == 2000
+        assert rep.worker_count == cap and rep.samples == 2 * cap
         assert abs(rep.mean - MI_2X2_T1) <= 4 * rep.std_error
 
     def test_unknown_cpu_count_means_one_thread(self, monkeypatch):
@@ -323,6 +324,24 @@ class TestMonteCarloWorkers:
         monkeypatch.setattr(oracles.os, "cpu_count", lambda: None)
         monte_carlo_mi(ChannelDims(2, 2), 1.0, 1000, seed=3, workers=8)
         assert _SerialPool.sizes == [1]
+
+    def test_worker_cap_rejected_before_any_chunk(self, monkeypatch):
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("pool built before validation")
+
+        monkeypatch.setattr(oracles, "ThreadPoolExecutor", NoPool)
+        cap = oracles._MC_MAX_WORKERS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"need workers <= {cap}, got {10**6}"):
+                monte_carlo_mi(ChannelDims(2, 2), 1.0, 10**6, workers=10**6)
+            # a 10^6-entry chunk list alone would take 8 MB
+            assert tracemalloc.get_traced_memory()[1] < 10**6
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValueError, match=f"need workers <= {cap}"):
+            monte_carlo_mi(ChannelDims(2, 2), 1.0, 4 * cap, workers=cap + 1)
 
     def test_pool_size_does_not_change_report(self, monkeypatch):
         kw = dict(t=1.0, samples=10_000, seed=42, workers=4)
@@ -443,6 +462,9 @@ class TestLemma1:
             lemma1_check(25, 1.0)
         with pytest.raises(ValueError):
             lemma1_check(1, 0.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="need finite t > 0"):
+                lemma1_check(1, t)
 
 
 class TestAPQCheck:
@@ -462,6 +484,9 @@ class TestAPQCheck:
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
             a_pq_check(3, 0, ChannelDims(2, 2), 1.0)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="need finite t > 0"):
+                a_pq_check(0, 0, ChannelDims(1, 1), t)
 
 
 class TestLnTIdentity:
@@ -479,3 +504,8 @@ class TestLnTIdentity:
                 for t in (0.3, 1.0, 3.0):
                     val = lnt_identity_check(ChannelDims(m, n), t)
                     assert abs(val - m) / m <= 1e-9
+
+    def test_domain_error(self):
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="need finite t > 0"):
+                lnt_identity_check(ChannelDims(2, 2), t)
