@@ -26,8 +26,6 @@ from .evaluator import (
 from .oracles import (
     ConvergenceError,
     McReport,
-    QuadratureConfig,
-    a_pq_check,
     density_moment,
     lemma1_check,
     lnt_identity_check,
@@ -37,7 +35,6 @@ from .oracles import (
 )
 from .special_functions import (
     ei_exp_scaled,
-    exp_integral_ei_neg,
     laguerre_eval,
     upper_gamma_int,
 )
@@ -50,14 +47,11 @@ __all__ = [
     "GridMode",
     "McReport",
     "Method",
-    "QuadratureConfig",
-    "a_pq_check",
     "build_table",
     "coeff_c",
     "density_moment",
     "ei_exp_scaled",
     "evaluate_closed_form",
-    "exp_integral_ei_neg",
     "laguerre_eval",
     "lemma1_check",
     "lnt_identity_check",

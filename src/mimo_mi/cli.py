@@ -29,6 +29,8 @@ from .oracles import ConvergenceError, monte_carlo_mi, telatar_quadrature
 from .verification import check_three_way, run_all
 
 FORMAT_ENV_VAR = "MIMO_MI_FORMAT"
+# Most points a 'start:stop:step' SNR grid may expand to.
+_MAX_GRID_POINTS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +49,8 @@ def _default_format() -> str:
 
 def _parse_grid(spec: str) -> list[float]:
     """'start:stop:step' in dB, inclusive of both ends when step divides
-    the range; a bare number is a one-point grid."""
+    the range, with at most _MAX_GRID_POINTS points; a bare number is a
+    one-point grid."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"grid spec must be 'start:stop:step', got {spec!r}")
@@ -59,7 +62,10 @@ def _parse_grid(spec: str) -> list[float]:
     start, stop, step = values
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    if not math.isfinite(steps) or round(steps) + 1 > _MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
+    count = round(steps)
     grid = [start + i * step for i in range(count + 1)]
     return [g for g in grid if g <= stop + 1e-9 * max(1.0, abs(stop))]
 
@@ -294,7 +300,7 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         print(f"mimo-mi: error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -30,7 +30,6 @@ class Method(str, enum.Enum):
 
 class GridMode(str, enum.Enum):
     SNR_DB = "snr_db"
-    SNR_LINEAR = "snr_linear"
     INVERSE_SNR = "t"
 
 
@@ -147,10 +146,6 @@ def _grid_to_ts(grid: Sequence[float], mode: GridMode) -> list[float]:
                 t = 10.0 ** (-g / 10.0)
             except OverflowError:
                 t = math.inf
-        elif mode is GridMode.SNR_LINEAR:
-            if g <= 0:
-                raise ValueError(f"linear SNR must be positive, got {g}")
-            t = 1.0 / g
         else:
             t = float(g)
         try:
@@ -168,8 +163,8 @@ def sweep(
 ) -> list[EvaluationResult]:
     """Evaluate the closed form over an SNR grid, one result per point.
 
-    Grid values are SNRs in dB or linear scale, or inverse-SNR t values
-    directly, per mode; results keep the input order.
+    Grid values are SNRs in dB, or inverse-SNR t values directly, per
+    mode; results keep the input order.
     """
     ts = _grid_to_ts(grid, mode)
     table = build_table(dims)

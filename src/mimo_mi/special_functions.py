@@ -1,7 +1,7 @@
 """Special functions used by the closed form and its oracles.
 
 Laguerre polynomials (stable float evaluation), integer-order upper
-incomplete gamma, and the exponential integral Ei(-t).
+incomplete gamma, and the scaled exponential integral e^t Ei(-t).
 
 All functions here are pure and share no state, so everything is safe
 to call concurrently.
@@ -45,14 +45,13 @@ def upper_gamma_int(s: int, t: float) -> float:
     """Upper incomplete gamma Gamma(s, t) for integer s >= 0, t > 0.
 
     For s >= 1 uses the finite sum (s-1)! e^-t sum_i t^i/i! (all terms
-    positive, no cancellation).  Gamma(0, t) = -Ei(-t) shares the Ei
-    code path exactly.
+    positive, no cancellation).  Gamma(0, t) = -Ei(-t) = -e^-t (e^t Ei(-t)).
     """
     _check_t(t)
     if s < 0:
         raise ValueError(f"need s >= 0, got s={s}")
     if s == 0:
-        return -exp_integral_ei_neg(t)
+        return -ei_exp_scaled(t) * math.exp(-t)
     term = 1.0
     acc = 1.0
     for i in range(1, s):
@@ -61,16 +60,15 @@ def upper_gamma_int(s: int, t: float) -> float:
     return math.factorial(s - 1) * math.exp(-t) * acc
 
 
-def _ei_neg_mpmath(t: float) -> tuple[float, float]:
-    """(Ei(-t), e^t Ei(-t)) = (-E1(t), -e^t E1(t)), t in (0, cutoff].
+def _ei_neg_mpmath(t: float) -> float:
+    """e^t Ei(-t) = -e^t E1(t), t in (0, cutoff].
 
     Evaluated with mpmath's E1 in 40-digit arithmetic and rounded once
     at the end, since the float64 series loses ~e^t to cancellation.
     """
     with mpmath.workdps(40):
         mt = mpmath.mpf(t)
-        e1 = mpmath.e1(mt)
-        return float(-e1), float(-mpmath.exp(mt) * e1)
+        return float(-mpmath.exp(mt) * mpmath.e1(mt))
 
 
 def _ei_neg_lentz(t: float) -> float:
@@ -99,22 +97,14 @@ def _ei_neg_lentz(t: float) -> float:
     return -h
 
 
-def exp_integral_ei_neg(t: float) -> float:
-    """Ei(-t) for t > 0 (always negative).
+def ei_exp_scaled(t: float) -> float:
+    """e^t * Ei(-t) for t > 0, computed without overflow for large t.
 
     Positive arguments of Ei are deliberately unsupported; nothing in
     this package needs them.
     """
     _check_t(t)
     if t <= _EI_MPMATH_CUTOFF:
-        return _ei_neg_mpmath(t)[0]
-    return _ei_neg_lentz(t) * math.exp(-t)
-
-
-def ei_exp_scaled(t: float) -> float:
-    """e^t * Ei(-t) for t > 0, computed without overflow for large t."""
-    _check_t(t)
-    if t <= _EI_MPMATH_CUTOFF:
-        return _ei_neg_mpmath(t)[1]
+        return _ei_neg_mpmath(t)
     return _ei_neg_lentz(t)
 

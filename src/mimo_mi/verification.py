@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .coefficients import ChannelDims, build_table
 from .evaluator import evaluate_closed_form, render_expression
 from .oracles import (
-    QuadratureConfig,
     _quad,
     density_moment,
     lemma1_check,
@@ -84,7 +83,6 @@ def check_orthogonality(tol: float = 1e-9) -> CheckResult:
     """Laguerre orthogonality under the x^alpha e^-x weight by quadrature."""
     import numpy as np
 
-    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-11, max_subdivisions=200)
     worst = 0.0
     for alpha in (0, 1, 2, 4):
         for k in range(7):
@@ -97,7 +95,8 @@ def check_orthogonality(tol: float = 1e-9) -> CheckResult:
                     * laguerre_eval(l, alpha, x),
                     0.0,
                     150.0,
-                    cfg,
+                    rel_tol=1e-11,
+                    abs_tol=1e-11,
                 )
                 target = (
                     math.factorial(alpha + k) / math.factorial(k) if k == l else 0.0

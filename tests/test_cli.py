@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import mimo_mi
-from mimo_mi import ChannelDims, build_table, render_expression
+from mimo_mi import ChannelDims, build_table, cli, render_expression
 from mimo_mi.cli import run
 
 
@@ -193,6 +193,31 @@ class TestMc:
         assert code == 1
         assert out == ""
         assert err == "mimo-mi: error: need workers <= 1024, got 100000000\n"
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # (stop - start) / step overflows to inf
+            ("sweep", "-m", "1", "-n", "1", "--snr-db", "0:1e308:1e-300"),
+            # math.factorial overflows
+            ("coeffs", "-m", "2", "-n", "99999999999999999999"),
+            # ln det(I + H H*/t) overflows: nan, then inf, mean
+            ("mc", "-m", "4", "-n", "6", "--t", "1e-307", "--samples", "200000"),
+            ("mc", "-m", "4", "-n", "6", "--t", "1e-320", "--samples", "100"),
+        ],
+    )
+    def test_hostile_input_exit_1(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mimo-mi: error: ")
+
+    def test_grid_point_cap(self):
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            cli._parse_grid("0:1000000:1")
+        assert len(cli._parse_grid("0:999999:1")) == 10**6
 
 
 class TestOutputFile:

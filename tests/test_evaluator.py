@@ -125,10 +125,6 @@ class TestSweep:
         oracle = telatar_quadrature(ChannelDims(2, 2), rs[0].t).value
         assert rs[0].value == pytest.approx(oracle, rel=1e-8)
 
-    def test_linear_mode(self):
-        rs = sweep(ChannelDims(2, 2), [10.0], GridMode.SNR_LINEAR)
-        assert rs[0].t == pytest.approx(0.1)
-
     def test_preserves_order(self):
         rs = sweep(ChannelDims(2, 2), [5.0, -3.0, 12.0], GridMode.SNR_DB)
         assert [r.snr_db for r in rs] == pytest.approx([5.0, -3.0, 12.0])
@@ -137,16 +133,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(ChannelDims(2, 2), [])
 
-    def test_non_positive_linear_snr_errors(self):
-        with pytest.raises(ValueError):
-            sweep(ChannelDims(2, 2), [-1.0], GridMode.SNR_LINEAR)
-
     @pytest.mark.parametrize(
         "grid,mode",
         [
             ([math.nan], GridMode.SNR_DB),
             ([-math.inf], GridMode.SNR_DB),
-            ([math.nan], GridMode.SNR_LINEAR),
+            ([math.inf], GridMode.SNR_DB),
             ([1.0, math.inf], GridMode.INVERSE_SNR),
             ([-4000.0], GridMode.SNR_DB),
         ],

@@ -8,14 +8,11 @@ PUBLIC_API = [
     "GridMode",
     "McReport",
     "Method",
-    "QuadratureConfig",
-    "a_pq_check",
     "build_table",
     "coeff_c",
     "density_moment",
     "ei_exp_scaled",
     "evaluate_closed_form",
-    "exp_integral_ei_neg",
     "laguerre_eval",
     "lemma1_check",
     "lnt_identity_check",

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from mimo_mi import (
     ei_exp_scaled,
-    exp_integral_ei_neg,
     laguerre_eval,
     upper_gamma_int,
 )
@@ -107,37 +106,36 @@ class TestUpperGammaInt:
 
 
 class TestExpIntegral:
-    def test_matches_neg_gamma0_bitwise(self):
-        for t in (0.3, 1.0, 4.0, 8.0, 9.0, 50.0):
-            assert exp_integral_ei_neg(t) == -upper_gamma_int(0, t)
+    """e^t Ei(-t) through ei_exp_scaled, and Ei(-t) = -Gamma(0, t)
+    through upper_gamma_int(0, t)."""
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0, 7.9, 8.1, 10.0, 30.0])
     def test_against_defining_integral(self, t):
         oracle, err = quad(
             lambda s: math.exp(-s) / s, t, np.inf, epsabs=1e-300, epsrel=1e-13
         )
-        assert exp_integral_ei_neg(t) == pytest.approx(-oracle, rel=1e-12)
+        assert upper_gamma_int(0, t) == pytest.approx(oracle, rel=1e-12)
+        assert ei_exp_scaled(t) == pytest.approx(-oracle * math.exp(t), rel=1e-12)
 
     def test_known_values(self):
-        assert exp_integral_ei_neg(1.0) == pytest.approx(
-            -0.21938393439552026, rel=1e-14
-        )
-        assert exp_integral_ei_neg(10.0) == pytest.approx(
-            -4.156968929685324e-06, rel=1e-13
+        assert upper_gamma_int(0, 1.0) == pytest.approx(0.21938393439552026, rel=1e-14)
+        assert upper_gamma_int(0, 10.0) == pytest.approx(
+            4.156968929685324e-06, rel=1e-13
         )
 
     @pytest.mark.parametrize("t", [20.0, 100.0, 500.0])
     def test_large_t_bracketing(self, t):
-        val = -exp_integral_ei_neg(t)
-        assert math.exp(-t) / (t + 1) < val < math.exp(-t) / t
+        assert math.exp(-t) / (t + 1) < upper_gamma_int(0, t) < math.exp(-t) / t
+        assert -1 / t < ei_exp_scaled(t) < -1 / (t + 1)
 
     def test_scaled_variant(self):
-        for t in (0.5, 8.0, 50.0, 1000.0):
-            expected = exp_integral_ei_neg(t) * math.exp(t) if t < 700 else None
-            got = ei_exp_scaled(t)
-            assert got < 0
-            if expected is not None:
-                assert got == pytest.approx(expected, rel=1e-12)
+        with mpmath.workdps(40):
+            for t in (0.5, 8.0, 50.0, 1000.0):
+                mt = mpmath.mpf(t)
+                expected = float(-mpmath.exp(mt) * mpmath.e1(mt))
+                got = ei_exp_scaled(t)
+                assert got < 0
+                assert got == pytest.approx(expected, rel=1e-14)
 
     def test_correctly_rounded_below_cutoff(self):
         rng = random.Random("ei/60-digit")
@@ -145,16 +143,17 @@ class TestExpIntegral:
         with mpmath.workdps(60):
             for t in ts:
                 e1 = mpmath.e1(mpmath.mpf(t))
-                assert exp_integral_ei_neg(t) == float(-e1), t
                 assert ei_exp_scaled(t) == float(-mpmath.exp(mpmath.mpf(t)) * e1), t
+                # one more rounding, in the product with e^-t
+                assert upper_gamma_int(0, t) == pytest.approx(float(e1), rel=5e-16), t
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            exp_integral_ei_neg(0.0)
+            upper_gamma_int(0, 0.0)
         with pytest.raises(ValueError):
             ei_exp_scaled(-1.0)
         for t in (math.nan, math.inf):
-            for f in (exp_integral_ei_neg, ei_exp_scaled):
+            for f in (lambda t: upper_gamma_int(0, t), ei_exp_scaled):
                 with pytest.raises(ValueError, match="finite"):
                     f(t)
 
