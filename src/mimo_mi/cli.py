@@ -92,66 +92,6 @@ def _emit(text: str, path: str | None) -> None:
         raise
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="mimo-mi", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_dims=True):
-        if with_dims:
-            p.add_argument("-m", type=int, required=True, help="receive antennas")
-            p.add_argument("-n", type=int, required=True, help="transmit antennas")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json", "text"),
-            default=_default_format(),
-            help=f"output format (default from ${FORMAT_ENV_VAR} or text)",
-        )
-        p.add_argument("-o", "--output", default=None, help="write output to file")
-
-    p = sub.add_parser("coeffs", help="exact coefficient table")
-    add_common(p)
-
-    p = sub.add_parser("render", help="symbolic closed-form expression")
-    add_common(p)
-
-    for name in ("eval", "sweep"):
-        p = sub.add_parser(
-            name,
-            help="closed-form E[I] at given points"
-            if name == "eval"
-            else "closed-form E[I] over an SNR grid",
-        )
-        add_common(p)
-        p.add_argument("--t", type=float, nargs="+", help="inverse-SNR values")
-        p.add_argument(
-            "--snr-db", dest="snr_db", help="SNR grid in dB: value or start:stop:step"
-        )
-        if name == "eval":
-            p.add_argument(
-                "--quadrature",
-                action="store_true",
-                help="use the density-integral oracle instead of the closed form",
-            )
-
-    p = sub.add_parser("mc", help="Monte Carlo estimate of E[I]")
-    add_common(p)
-    p.add_argument("--t", type=float, required=True, help="inverse SNR")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-
-    p = sub.add_parser("verify", help="cross-validation suite (exit 2 on failure)")
-    p.add_argument("-m", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--t", type=float, nargs="+", default=None)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--mc-samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=20240817)
-    p.add_argument("-o", "--output", default=None)
-
-    return parser
-
-
 def _resolve_grid(args) -> tuple[list[float], GridMode]:
     if args.t is not None and args.snr_db is not None:
         raise ValueError("give either --t or --snr-db, not both")
@@ -266,6 +206,92 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+def _add_common_args(p) -> None:
+    p.add_argument("-m", type=int, required=True, help="receive antennas")
+    p.add_argument("-n", type=int, required=True, help="transmit antennas")
+    p.add_argument(
+        "--format",
+        choices=("csv", "json", "text"),
+        default=_default_format(),
+        help=f"output format (default from ${FORMAT_ENV_VAR} or text)",
+    )
+    p.add_argument("-o", "--output", default=None, help="write output to file")
+
+
+def _add_sweep_args(p) -> None:
+    _add_common_args(p)
+    p.add_argument("--t", type=float, nargs="+", help="inverse-SNR values")
+    p.add_argument(
+        "--snr-db", dest="snr_db", help="SNR grid in dB: value or start:stop:step"
+    )
+
+
+def _add_eval_args(p) -> None:
+    _add_sweep_args(p)
+    p.add_argument(
+        "--quadrature",
+        action="store_true",
+        help="use the density-integral oracle instead of the closed form",
+    )
+
+
+def _add_mc_args(p) -> None:
+    _add_common_args(p)
+    p.add_argument("--t", type=float, required=True, help="inverse SNR")
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+
+
+def _add_verify_args(p) -> None:
+    p.add_argument("-m", type=int, default=None)
+    p.add_argument("-n", type=int, default=None)
+    p.add_argument("--t", type=float, nargs="+", default=None)
+    p.add_argument("--rel-tol", type=float, default=1e-8)
+    p.add_argument("--mc-samples", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=20240817)
+    p.add_argument("-o", "--output", default=None)
+
+
+# name: (help, add_arguments, handler), in the order help lists them.
+_COMMANDS = {
+    "coeffs": ("exact coefficient table", _add_common_args, _cmd_coeffs),
+    "render": ("symbolic closed-form expression", _add_common_args, _cmd_render),
+    "eval": ("closed-form E[I] at given points", _add_eval_args, _cmd_eval_sweep),
+    "sweep": ("closed-form E[I] over an SNR grid", _add_sweep_args, _cmd_eval_sweep),
+    "mc": ("Monte Carlo estimate of E[I]", _add_mc_args, _cmd_mc),
+    "verify": (
+        "cross-validation suite (exit 2 on failure)",
+        _add_verify_args,
+        _cmd_verify,
+    ),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser with only `command`'s subparser, or with all of them
+    when `command` names none (no arguments, -h, an unknown name).
+
+    Building one subparser instead of six is most of a short request's
+    parse time.  Every message the one-command parser can print matches
+    the full parser's, since its top-level usage line still lists every
+    command.
+    """
+    parser = _Parser(prog="mimo-mi", description=__doc__)
+    if command in _COMMANDS:
+        names = [command]
+        # only the usage line needs the full list: argv[0] already
+        # chose, so no error can name this positional
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def _join_negative_grid(argv: list[str]) -> list[str]:
     """'--snr-db -10:40:1' -> '--snr-db=-10:40:1'.
 
@@ -283,23 +309,15 @@ def _join_negative_grid(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(_join_negative_grid(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "coeffs": _cmd_coeffs,
-        "render": _cmd_render,
-        "eval": _cmd_eval_sweep,
-        "sweep": _cmd_eval_sweep,
-        "mc": _cmd_mc,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, IndexError, OverflowError) as exc:
         print(f"mimo-mi: error: {exc}", file=sys.stderr)
         return 1

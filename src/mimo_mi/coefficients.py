@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,12 @@ def _column_sums(dims: ChannelDims) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in sums], den
 
 
-def _a_from_sums(k: int, dims: ChannelDims, sums: tuple[list[int], int]) -> Fraction:
+def _a_from_sums(
+    k: int, dims: ChannelDims, sums: tuple[list[int], int], fact: list[int]
+) -> Fraction:
     """a_0 = sum_i (i+d)! H_{i+d} C_i and, for k >= 1,
     a_k = (-1)^k / (k k!) sum_{i >= k-d+1} ((i+d)! - k! (i+d-k)!) C_i,
-    with d = n - m."""
+    with d = n - m and fact[j] = j!."""
     nums, den = sums
     d = dims.n - dims.m
     if k == 0:
@@ -95,26 +99,29 @@ def _a_from_sums(k: int, dims: ChannelDims, sums: tuple[list[int], int]) -> Frac
         h = sum((Fraction(1, l) for l in range(1, d + 1)), Fraction(0))
         acc = Fraction(0)
         for i, c in enumerate(nums):
-            acc += math.factorial(i + d) * h * c
+            acc += fact[i + d] * h * c
             h += Fraction(1, i + d + 1)
         return acc / den
-    fk = math.factorial(k)
+    fk = fact[k]
     acc = sum(
-        (math.factorial(i + d) - fk * math.factorial(i + d - k)) * nums[i]
+        (fact[i + d] - fk * fact[i + d - k]) * nums[i]
         for i in range(max(0, k - d + 1), len(nums))
     )
     return Fraction((-1) ** k * acc, k * fk * den)
 
 
-def _b_from_sums(k: int, dims: ChannelDims, sums: tuple[list[int], int]) -> Fraction:
+def _b_from_sums(
+    k: int, dims: ChannelDims, sums: tuple[list[int], int], fact: list[int]
+) -> Fraction:
     """b_k = -(-1)^k m / k! for k <= d, else
-    b_k = -(-1)^k / k! sum_{i >= k-d} (i+d)! C_i, with d = n - m."""
+    b_k = -(-1)^k / k! sum_{i >= k-d} (i+d)! C_i, with d = n - m and
+    fact[j] = j!."""
     nums, den = sums
     d = dims.n - dims.m
     if k <= d:
-        return Fraction(-((-1) ** k) * dims.m, math.factorial(k))
-    acc = sum(math.factorial(i + d) * nums[i] for i in range(k - d, len(nums)))
-    return Fraction(-((-1) ** k) * acc, math.factorial(k) * den)
+        return Fraction(-((-1) ** k) * dims.m, fact[k])
+    acc = sum(fact[i + d] * nums[i] for i in range(k - d, len(nums)))
+    return Fraction(-((-1) ** k) * acc, fact[k] * den)
 
 
 @dataclass(frozen=True)
@@ -173,11 +180,13 @@ def build_table(dims: ChannelDims) -> CoefficientTable:
     """
     m, n = dims.m, dims.n
     sums = _column_sums(dims)
+    # 0! .. (n+m-2)!: every factorial the sums over i and k below take
+    fact = list(accumulate(range(1, n + m - 1), operator.mul, initial=1))
     # The t-free part of the log-cancellation identity, sum_i (i+n-m)! C_i
     # = m; a failure here means the coefficient code itself is wrong.
     nums, den = sums
-    if sum(math.factorial(i + n - m) * c for i, c in enumerate(nums)) != m * den:
+    if sum(fact[i + n - m] * c for i, c in enumerate(nums)) != m * den:
         raise AssertionError(f"internal consistency failure for dims ({m}, {n})")
-    a = tuple(_a_from_sums(k, dims, sums) for k in range(n + m - 2))
-    b = tuple(_b_from_sums(k, dims, sums) for k in range(n + m - 1))
+    a = tuple(_a_from_sums(k, dims, sums, fact) for k in range(n + m - 2))
+    b = tuple(_b_from_sums(k, dims, sums, fact) for k in range(n + m - 1))
     return CoefficientTable(dims=dims, a=a, b=b)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 
-import mpmath
+from mpmath import libmp
 
 # Crossover for Ei(-t): at or below it mpmath's E1 at 40 digits; above
 # it the Lentz continued fraction is both fast and cancellation-free.
 _EI_MPMATH_CUTOFF = 8.0
+# Working precision in bits of that E1: what mpmath gives 40 digits.
+_EI_PREC = 136
 
 
 def _check_t(t: float) -> None:
@@ -63,12 +65,16 @@ def upper_gamma_int(s: int, t: float) -> float:
 def _ei_neg_mpmath(t: float) -> float:
     """e^t Ei(-t) = -e^t E1(t), t in (0, cutoff].
 
-    Evaluated with mpmath's E1 in 40-digit arithmetic and rounded once
-    at the end, since the float64 series loses ~e^t to cancellation.
+    Evaluated with mpmath's E1 in 136-bit (40-digit) arithmetic and
+    rounded once at the end, since the float64 series loses ~e^t to
+    cancellation.  It calls mpmath.libmp with an explicit precision, so
+    mpmath's global context is neither read nor changed.
     """
-    with mpmath.workdps(40):
-        mt = mpmath.mpf(t)
-        return float(-mpmath.exp(mt) * mpmath.e1(mt))
+    x = libmp.from_float(t)
+    rnd = libmp.round_nearest
+    exp = libmp.mpf_exp(x, _EI_PREC, rnd)
+    e1 = libmp.mpf_e1(x, _EI_PREC, rnd)
+    return -libmp.to_float(libmp.mpf_mul(exp, e1, _EI_PREC, rnd), rnd=rnd)
 
 
 def _ei_neg_lentz(t: float) -> float:

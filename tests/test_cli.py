@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -239,6 +240,11 @@ class TestOutputFile:
         code, out, _ = invoke(capsys, "coeffs", "-m", "2", "-n", "2")
         assert code == 0
         assert json.loads(out)["m"] == 2
+        # read again on every call in the same process
+        monkeypatch.setenv("MIMO_MI_FORMAT", "csv")
+        code, out, _ = invoke(capsys, "coeffs", "-m", "2", "-n", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "k,a,b"
 
 
 class TestVerify:
@@ -259,6 +265,63 @@ class TestVerify:
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1
         assert "usage" in err
+
+
+_VALID_CALLS = {
+    "coeffs": ("-m", "2", "-n", "3"),
+    "render": ("-m", "2", "-n", "4", "--format", "json"),
+    "eval": ("-m", "2", "-n", "3", "--t", "0.5", "2", "--quadrature"),
+    "sweep": ("-m", "3", "-n", "2", "--snr-db", "-10:10:5", "--format", "csv"),
+    "mc": ("-m", "2", "-n", "2", "--t", "1", "--samples", "2000", "--seed", "3"),
+    "verify": ("-m", "2", "-n", "2", "--t", "1", "--mc-samples", "20000"),
+}
+
+
+class TestParser:
+    """run() builds only the subparser argv[0] names, and that must not
+    show in any output."""
+
+    @pytest.mark.parametrize("command", list(_VALID_CALLS))
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("-h",),
+            ("-m", "2"),  # missing -n (verify: a usage error of its own)
+            ("-m",),
+            ("-m", "2", "-n", "2", "--format", "xml"),
+            ("-m", "2", "-n", "2", "--t", "1", "stray"),  # top-level usage line
+            "valid",
+        ],
+    )
+    def test_same_as_full_parser(self, capsys, monkeypatch, command, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, *(_VALID_CALLS[command] if case == "valid" else case)]
+        one = invoke(capsys, *argv)
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command: build(None))
+        assert invoke(capsys, *argv) == one
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (("eval", "-m", "2", "-n", "2", "--t", "1"), 1),
+            (("verify", "-h"), 1),
+            (("frobnicate",), 6),
+            (("-h",), 6),
+            ((), 6),
+        ],
+    )
+    def test_builds_only_the_named_subparser(self, capsys, monkeypatch, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        invoke(capsys, *argv)
+        assert len(names) == built
 
 
 def test_import_loads_neither_numpy_nor_scipy():

@@ -147,6 +147,21 @@ class TestExpIntegral:
                 # one more rounding, in the product with e^-t
                 assert upper_gamma_int(0, t) == pytest.approx(float(e1), rel=5e-16), t
 
+    def test_leaves_mpmath_context_alone(self, monkeypatch):
+        """Any thread may set mpmath's global precision at any time, so
+        the value must neither depend on it nor change it."""
+        ts = (1e-6, 0.1, 1.0, 7.9, 8.0)
+        expected = [ei_exp_scaled(t) for t in ts]
+        monkeypatch.setattr(mpmath.mp, "dps", 5)
+        ctx = type(mpmath.mp)
+
+        def frozen(self, value):
+            raise AssertionError("mpmath's global precision was changed")
+
+        for name in ("prec", "dps"):
+            monkeypatch.setattr(ctx, name, property(getattr(ctx, name).fget, frozen))
+        assert [ei_exp_scaled(t) for t in ts] == expected
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             upper_gamma_int(0, 0.0)
