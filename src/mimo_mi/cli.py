@@ -9,10 +9,12 @@ input or usage, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 
@@ -268,6 +270,16 @@ _COMMANDS = {
 }
 
 
+def _help_formatter():
+    """argparse's HelpFormatter at the width it reads for itself, read once.
+
+    argparse makes a formatter for every add_argument call, and each
+    stock one asks for the terminal size again.
+    """
+    width = shutil.get_terminal_size().columns - 2
+    return functools.partial(argparse.HelpFormatter, width=width)
+
+
 def _build_parser(command: str | None) -> _Parser:
     """The parser with only `command`'s subparser, or with all of them
     when `command` names none (no arguments, -h, an unknown name).
@@ -277,7 +289,8 @@ def _build_parser(command: str | None) -> _Parser:
     the full parser's, since its top-level usage line still lists every
     command.
     """
-    parser = _Parser(prog="mimo-mi", description=__doc__)
+    formatter = _help_formatter()
+    parser = _Parser(prog="mimo-mi", description=__doc__, formatter_class=formatter)
     if command in _COMMANDS:
         names = [command]
         # only the usage line needs the full list: argv[0] already
@@ -288,7 +301,7 @@ def _build_parser(command: str | None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help_text, add_arguments, _ = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 

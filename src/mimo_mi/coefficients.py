@@ -44,46 +44,59 @@ class ChannelDims:
             object.__setattr__(self, "n", m)
 
 
+def _c_scaled(i: int, j: int, m: int, n: int) -> int:
+    """c_ij i! (n+1)! / (m! (-1)^i), an integer:
+    (2nj + j - ni + n - m + 1) C(i, j) C(n, m-1-j) C(n+1, m-i+j),
+    and 0 off the support j >= 0, i-j >= 0, m-1-j >= 0, m-i+j >= 0."""
+    if min(j, i - j, m - 1 - j, m - i + j) < 0:
+        return 0
+    return (
+        (2 * n * j + j - n * i + n - m + 1)
+        * math.comb(i, j)
+        * math.comb(n, m - 1 - j)
+        * math.comb(n + 1, m - i + j)
+    )
+
+
 def coeff_c(i: int, j: int, dims: ChannelDims) -> Fraction:
-    """The common factor c_ij of the double sum.
+    """The common factor c_ij of the double sum,
+    m! (-1)^i (2nj + j - ni + n - m + 1) C(i, j) C(n, m-1-j) C(n+1, m-i+j)
+    / (i! (n+1)!).
 
     Out-of-support indices are allowed: any reciprocal factorial of a
     negative integer is taken as zero (the gamma-pole convention), so
     the result is 0 whenever j < 0, i-j < 0, m-1-j < 0 or m-i+j < 0.
     """
     m, n = dims.m, dims.n
-    denoms = (j, i - j, n - m + 1 + j, n - m + 1 + i - j, m - 1 - j, m - i + j)
-    if any(d < 0 for d in denoms):
+    scaled = _c_scaled(i, j, m, n)
+    if not scaled:
         return Fraction(0)
-    num = (
-        math.factorial(n)
-        * math.factorial(m)
-        * (-1) ** i
-        * (2 * n * j + j - n * i + n - m + 1)
+    return Fraction(
+        math.factorial(m) * (-1) ** i * scaled,
+        math.factorial(i) * math.factorial(n + 1),
     )
-    den = 1
-    for d in denoms:
-        den *= math.factorial(d)
-    return Fraction(num, den)
 
 
 def _column_sums(dims: ChannelDims) -> tuple[list[int], int]:
     """(N, D) with C_i = N[i] / D, where C_i = sum_j c_ij, i = 0 .. 2m-2.
 
     c_ij vanishes unless max(0, i-m) <= j <= min(i, m-1), so a_k and b_k
-    depend on c only through these 2m-1 sums.  Over one common
-    denominator the sums over i below run on integers.
+    depend on c only through these 2m-1 sums.  Every c_ij of row i is an
+    integer over i! (n+1)! / m!, so D = (2m-2)! (n+1)! is a common
+    denominator and the sums run on integers.
     """
-    m = dims.m
-    sums = [
-        sum(
-            (coeff_c(i, j, dims) for j in range(max(0, i - m), min(i, m - 1) + 1)),
-            Fraction(0),
+    m, n = dims.m, dims.n
+    top = math.factorial(2 * m - 2)
+    den = top * math.factorial(n + 1)
+    scale = math.factorial(m) * top  # m! (2m-2)! / i!, from i = 0
+    nums = []
+    for i in range(2 * m - 1):
+        row = sum(
+            _c_scaled(i, j, m, n) for j in range(max(0, i - m), min(i, m - 1) + 1)
         )
-        for i in range(2 * m - 1)
-    ]
-    den = math.lcm(*(c.denominator for c in sums))
-    return [c.numerator * (den // c.denominator) for c in sums], den
+        nums.append((-1) ** i * scale * row)
+        scale //= i + 1
+    return nums, den
 
 
 def _a_from_sums(
@@ -182,10 +195,15 @@ def build_table(dims: ChannelDims) -> CoefficientTable:
     sums = _column_sums(dims)
     # 0! .. (n+m-2)!: every factorial the sums over i and k below take
     fact = list(accumulate(range(1, n + m - 1), operator.mul, initial=1))
-    # The t-free part of the log-cancellation identity, sum_i (i+n-m)! C_i
-    # = m; a failure here means the coefficient code itself is wrong.
+    # Two guards; a failure means the coefficient code itself is wrong.  The
+    # last column sum, c_{2m-2,m-2} + c_{2m-2,m-1}, equals coeff_c's, which
+    # checks the integer scaling of every sum; and the t-free part of the
+    # log-cancellation identity, sum_i (i+n-m)! C_i = m, holds.
     nums, den = sums
-    if sum(fact[i + n - m] * c for i, c in enumerate(nums)) != m * den:
+    last = sum(coeff_c(2 * m - 2, j, dims) for j in (m - 2, m - 1))
+    if Fraction(nums[-1], den) != last or (
+        sum(fact[i + n - m] * c for i, c in enumerate(nums)) != m * den
+    ):
         raise AssertionError(f"internal consistency failure for dims ({m}, {n})")
     a = tuple(_a_from_sums(k, dims, sums, fact) for k in range(n + m - 2))
     b = tuple(_b_from_sums(k, dims, sums, fact) for k in range(n + m - 1))

@@ -1,26 +1,58 @@
 """Evaluate the closed form, render it symbolically, and sweep SNR grids.
 
-The two polynomial sums nearly cancel against the e^t Ei(-t) factor for
-large t (e^t Ei(-t) ~ -1/t), so both sums are accumulated exactly, in
-integer arithmetic on the table's common-denominator numerators with t
-split into the exact ratio p/q of the input float; floats appear only in
-the final combination.
+E[I] = A(t) + e^t Ei(-t) B(t), with A and B exact rational polynomials.
+Both parts grow like t^(n+m-3) while E[I] decays like mn/t, so they are
+never rounded before they are combined.  Each point takes one of two
+routes, and each gives a rigorous err_estimate:
+
+- Stieltjes (large t, low SNR).  The closed form equals
+  int_0^inf e^-u beta(u) / (t + u) du with beta(u) = -B(-u) > 0, since
+  e^-u beta(u) is m times the survival function of one unordered
+  eigenvalue.  The 128-point Gauss-Laguerre rule makes it a sum of
+  positive terms, sum_i c_i / (t + x_i) with c_i = w_i beta(x_i).  The
+  Gauss remainder is at most |B|_1(t) / (t L_128(-t)^2) (Gautschi,
+  "Orthogonal Polynomials: Computation and Approximation", 2004), where
+  |B|_1 sums |b_k| t^k; the route is taken only where that is at most
+  1e-14 of the lower bound mn / (t + (m+n)/2), which Jensen's inequality
+  gives from the measure's first two moments.
+- Exact (everywhere else).  A(t) and B(t) are summed in integers on the
+  table's common denominator, with t = p/q the exact ratio of the input
+  float, then combined with e^t E1(t) = man 2^exp at just enough bits for
+  their cancellation, in one integer division that rounds once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from ._gauss_laguerre import NODES, WEIGHTS
 from .coefficients import ChannelDims, CoefficientTable, build_table
 from .special_functions import _check_t, ei_exp_scaled
 
-# Relative accuracy of the Ei(-t) evaluation, used in the error model.
-_EI_REL_ERR = 1e-15
+# The Stieltjes route is taken where its remainder bound is at most this
+# share of the lower bound on E[I].
+_STIELTJES_REL = 1e-14
+# Nodes at the top of the rule whose w_i |B|_1(x_i) is below this share of
+# mn are dropped; their sum is added to the err_estimate.
+_TRIM_REL = 1e-18
+# Highest degree of beta for which the rule integrates beta(u) and
+# u beta(u) exactly, as the error bounds of the Stieltjes route assume.
+_MAX_DEGREE = 2 * len(NODES) - 2
+# Bits of e^t E1(t) the exact route keeps beyond those its cancellation
+# takes: the combination is then good to about 2^-62 of the lower bound.
+_EXACT_BITS = 64
+# Most bits the exact route may take; its cost grows about quadratically
+# (1.6 s at 77,000 bits).  Only tables the Stieltjes route cannot take,
+# n + m - 2 > _MAX_DEGREE, reach it, at huge t.
+_MAX_EXACT_BITS = 2**16
+# ln (128!), for the largest term of L_128(-t)
+_LN_FACT_M = math.lgamma(len(NODES) + 1)
 
 
 class Method(str, enum.Enum):
@@ -61,36 +93,184 @@ class EvaluationResult:
 
 
 def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
-    """(num, den) with num / den == sum nums[k] (p/q)^k exactly."""
-    num, den = 0, 1
+    """(num, den) with num / den == sum nums[k] (p/q)^k exactly, for q a
+    power of two, as in the integer ratio of a float."""
+    step = q.bit_length() - 1
+    num, shift = 0, 0
     for c in reversed(nums):
-        den *= q
-        num = num * p + c * den
-    return num, den
+        shift += step
+        num = num * p + (c << shift)
+    return num, 1 << shift
 
 
-def evaluate_closed_form(table: CoefficientTable, t: float) -> EvaluationResult:
-    """E[I] = sum a_k t^k + e^t Ei(-t) sum b_k t^k at finite inverse SNR t > 0."""
-    _check_t(t)
+class _StieltjesRule(NamedTuple):
+    """E[I] ~ sum_i terms[i] / (t + nodes[i]) for one table, with what the
+    error bounds of that sum need."""
+
+    terms: tuple[float, ...]  # w_i beta(x_i), each rounded once
+    nodes: tuple[float, ...]
+    b_abs: tuple[float, ...]  # |b_k|, for |B|_1(t)
+    tail: float  # sum of w_i |B|_1(x_i) over the dropped nodes
+    first_dropped: float  # the smallest dropped node; inf if none
+
+
+@functools.lru_cache(maxsize=None)
+def _stieltjes_rule(
+    dims: ChannelDims, b_num: tuple[int, ...], denominator: int
+) -> _StieltjesRule | None:
+    """The rule for the table whose b_k are b_num[k] / denominator, or
+    None where the Stieltjes route does not apply: beta's degree is above
+    _MAX_DEGREE, a |b_k| underflows a float or a node's w_i |B|_1(x_i)
+    overflows one."""
+    if len(b_num) - 1 > _MAX_DEGREE:
+        return None
+    b_abs = tuple(abs(c) / denominator for c in b_num)
+    if any(c and not a for c, a in zip(b_num, b_abs)):
+        return None
+    threshold = _TRIM_REL * dims.m * dims.n
+    keep, tail = len(NODES), 0.0
+    while keep:
+        x = NODES[keep - 1]
+        acc = 0.0
+        for c in reversed(b_abs):
+            acc = acc * x + c
+        mass = WEIGHTS[keep - 1] * acc
+        if not math.isfinite(mass):
+            return None
+        if mass >= threshold:
+            break
+        tail += mass
+        keep -= 1
+    # beta_k = -(-1)^k b_k
+    beta = [c if k % 2 else -c for k, c in enumerate(b_num)]
+    terms = []
+    for x, w in zip(NODES[:keep], WEIGHTS[:keep]):
+        num, den = _horner(beta, *x.as_integer_ratio())
+        w_num, w_den = w.as_integer_ratio()
+        terms.append(num * w_num / (den * w_den * denominator))
+    return _StieltjesRule(
+        terms=tuple(terms),
+        nodes=NODES[:keep],
+        b_abs=b_abs,
+        tail=tail,
+        first_dropped=NODES[keep] if keep < len(NODES) else math.inf,
+    )
+
+
+def _ln_laguerre_lower(t: float) -> float:
+    """A lower bound on ln L_M(-t) = ln sum_k C(M, k) t^k / k!, M = 128:
+    the log of its largest term."""
+    order = len(NODES)
+    if t >= order * order:
+        k = order
+    else:
+        # the ratio of consecutive terms, (M - k) t / (k + 1)^2, falls
+        # through 1 at this k
+        k = int((math.sqrt((t + 2.0) ** 2 + 4.0 * (order * t - 1.0)) - t - 2.0) / 2.0)
+        k = min(max(k, 0), order)
+    return (
+        _LN_FACT_M
+        - math.lgamma(order - k + 1)
+        - 2.0 * math.lgamma(k + 1)
+        + k * math.log(t)
+    )
+
+
+def _stieltjes(
+    rule: _StieltjesRule, dims: ChannelDims, t: float, lower: float
+) -> tuple[float, float] | None:
+    """(value, err_estimate) by the Gauss-Laguerre sum, or None where its
+    remainder bound exceeds _STIELTJES_REL of `lower`."""
+    acc = 0.0
+    if t <= 1.0:
+        for c in reversed(rule.b_abs):
+            acc = acc * t + c
+        ln_b1 = math.log(acc)
+    else:
+        # t^D sum_k |b_k| t^(k-D), which cannot overflow
+        r = 1.0 / t
+        for c in rule.b_abs:
+            acc = acc * r + c
+        ln_b1 = math.log(acc) + (len(rule.b_abs) - 1) * math.log(t)
+    ln_remainder = ln_b1 - math.log(t) - 2.0 * _ln_laguerre_lower(t)
+    if ln_remainder > math.log(_STIELTJES_REL * lower):
+        return None
+    value = math.fsum([c / (t + x) for c, x in zip(rule.terms, rule.nodes)])
+    m, n = dims.m, dims.n
+    # Rounding: the weights, the terms, t + x_i, each quotient and the sum
+    # each add at most 2^-53 of the value.  Rounding the nodes adds at most
+    # 2^-53 sum_i w_i x_i |f'(x_i)| with f(u) = beta(u) / (t + u); as
+    # beta' = beta - pi with pi = m e^u p(u) >= 0 (p the eigenvalue
+    # density), that is at most 2^-53 (value + sum_i w_i x_i (beta + pi)(x_i)
+    # / (t + x_i)), and the rule sums the last exactly to at most
+    # min(m(n+1), mn((m+n)/2 + 1) / t).  2^-50 covers all of it twice over.
+    node_sum = m * min(n + 1.0, n * ((m + n) / 2.0 + 1.0) / t)
+    err = (
+        math.exp(ln_remainder)
+        + 2.0 * rule.tail / (t + rule.first_dropped)
+        + 2.0**-50 * (value + node_sum)
+    )
+    return value, err
+
+
+def _exact(table: CoefficientTable, t: float, lower: float) -> tuple[float, float]:
+    """(value, err_estimate) from the exact A(t) and B(t) and e^t E1(t) at
+    just enough bits, rounded once."""
     p, q = t.as_integer_ratio()
     num_a, den_a = _horner(table.a_num, p, q)
     num_b, den_b = _horner(table.b_num, p, q)
-    scaled_ei = ei_exp_scaled(t)
-    # int / int true division is correctly rounded, like float(Fraction).
-    try:
-        fa = num_a / (table.denominator * den_a)
-        fb = num_b / (table.denominator * den_b)
-    except OverflowError:
+    den = table.denominator * den_b
+    num = num_a * (den_b // den_a)
+    # |A| < 2^bits_a and |B|/t < 2^bits_b, while lower >= 2^bits_lower
+    bits_a = num.bit_length() - den.bit_length() + 1
+    bits_b = num_b.bit_length() - den.bit_length() + 2 - math.frexp(t)[1]
+    bits_lower = math.frexp(lower)[1] - 1
+    prec = _EXACT_BITS + max(0, bits_a - bits_lower, bits_b - bits_lower)
+    if prec > _MAX_EXACT_BITS:
+        m, n = table.dims.m, table.dims.n
         raise ValueError(
-            f"t={t} is too large: the polynomial parts overflow a float"
-        ) from None
-    value = fa + scaled_ei * fb
-    err = max(
-        2.0 * max(abs(fa), abs(scaled_ei * fb)) * 2.2e-16,
-        abs(scaled_ei) * _EI_REL_ERR * abs(fb),
-    )
+            f"t={t} is too large for {m}x{n}: the closed form would need"
+            f" {prec} bits (at most {_MAX_EXACT_BITS})"
+        )
+    # e^t Ei(-t) = -man 2^exp to within 2^-prec; e^t E1(t) < 1/t
+    man, exp = ei_exp_scaled(t, prec)
+    if exp >= 0:
+        num -= (man * num_b) << exp
+    else:
+        num = (num << -exp) - man * num_b
+        den <<= -exp
+    value = num / den  # int / int true division rounds once
+    return value, math.ldexp(1.0, bits_b + 2 - prec) + math.ulp(value)
+
+
+def _round_up_2_digits(x: float) -> float:
+    """The least two-significant-digit decimal >= x > 0, as a float: still
+    a bound, without digits the bound does not mean."""
+    text = f"{x:.1e}"
+    if float(text) >= x:
+        return float(text)
+    digits, _, exp = text.partition("e")
+    # 5.7e-16 -> 58e-17, 9.9e-16 -> 100e-17
+    return float(f"{round(float(digits) * 10) + 1}e{int(exp) - 1}")
+
+
+def evaluate_closed_form(table: CoefficientTable, t: float) -> EvaluationResult:
+    """E[I] = sum a_k t^k + e^t Ei(-t) sum b_k t^k at finite inverse SNR
+    t > 0, by the Stieltjes route where it is proven accurate and the
+    exact route elsewhere (see the module docstring).  err_estimate
+    bounds the error, rounded up to two significant digits."""
+    _check_t(t)
+    m, n = table.dims.m, table.dims.n
+    lower = m * n / (t + (m + n) / 2.0)
+    rule = _stieltjes_rule(table.dims, table.b_num, table.denominator)
+    routed = None if rule is None else _stieltjes(rule, table.dims, t, lower)
+    value, err = routed or _exact(table, t, lower)
     return EvaluationResult(
-        dims=table.dims, t=t, value=value, method=Method.CLOSED_FORM, err_estimate=err
+        dims=table.dims,
+        t=t,
+        value=value,
+        method=Method.CLOSED_FORM,
+        err_estimate=_round_up_2_digits(err),
     )
 
 

@@ -13,11 +13,13 @@ import math
 
 from mpmath import libmp
 
-# Crossover for Ei(-t): at or below it mpmath's E1 at 40 digits; above
-# it the Lentz continued fraction is both fast and cancellation-free.
-_EI_MPMATH_CUTOFF = 8.0
-# Working precision in bits of that E1: what mpmath gives 40 digits.
+# Working precision in bits of the float e^t Ei(-t): what mpmath gives 40
+# digits.
 _EI_PREC = 136
+# Bits beyond the requested precision for the exact (man, exp) value:
+# e^t, E1(t) and their product are each within a few units of the last
+# of these bits, so their error stays below 2^-prec.
+_EI_GUARD_BITS = 3
 
 
 def _check_t(t: float) -> None:
@@ -62,55 +64,26 @@ def upper_gamma_int(s: int, t: float) -> float:
     return math.factorial(s - 1) * math.exp(-t) * acc
 
 
-def _ei_neg_mpmath(t: float) -> float:
-    """e^t Ei(-t) = -e^t E1(t), t in (0, cutoff].
+def ei_exp_scaled(t: float, prec: int | None = None):
+    """e^t Ei(-t) = -e^t E1(t) for t > 0, rounded once to a float.
 
-    Evaluated with mpmath's E1 in 136-bit (40-digit) arithmetic and
-    rounded once at the end, since the float64 series loses ~e^t to
-    cancellation.  It calls mpmath.libmp with an explicit precision, so
-    mpmath's global context is neither read nor changed.
-    """
-    x = libmp.from_float(t)
-    rnd = libmp.round_nearest
-    exp = libmp.mpf_exp(x, _EI_PREC, rnd)
-    e1 = libmp.mpf_e1(x, _EI_PREC, rnd)
-    return -libmp.to_float(libmp.mpf_mul(exp, e1, _EI_PREC, rnd), rnd=rnd)
+    With `prec`, returns instead the integers (man, exp) with
+    e^t E1(t) = man 2^exp to a relative error below 2^-prec, for callers
+    that combine it exactly with other terms; e^t Ei(-t) = -man 2^exp.
 
-
-def _ei_neg_lentz(t: float) -> float:
-    """e^t Ei(-t) = -t^0 * CF via the modified Lentz continued fraction
-    for Gamma(0, t); accurate for t above the series cutoff."""
-    tiny = 1e-300
-    b = t + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -float(i) * i
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    # h = e^t Gamma(0, t)
-    return -h
-
-
-def ei_exp_scaled(t: float) -> float:
-    """e^t * Ei(-t) for t > 0, computed without overflow for large t.
-
-    Positive arguments of Ei are deliberately unsupported; nothing in
-    this package needs them.
+    mpmath's E1 and exp are called through mpmath.libmp with an explicit
+    precision, so mpmath's global context is neither read nor changed,
+    and the value never overflows.  Positive arguments of Ei are
+    deliberately unsupported; nothing in this package needs them.
     """
     _check_t(t)
-    if t <= _EI_MPMATH_CUTOFF:
-        return _ei_neg_mpmath(t)
-    return _ei_neg_lentz(t)
-
+    x = libmp.from_float(t)
+    rnd = libmp.round_nearest
+    work = _EI_PREC if prec is None else prec + _EI_GUARD_BITS
+    scaled = libmp.mpf_mul(
+        libmp.mpf_exp(x, work, rnd), libmp.mpf_e1(x, work, rnd), work, rnd
+    )
+    if prec is None:
+        return -libmp.to_float(scaled, rnd=rnd)
+    _, man, exp, _ = scaled
+    return man, exp

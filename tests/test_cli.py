@@ -132,7 +132,7 @@ class TestEvalSweep:
             ("sweep", "--snr-db=-inf"),
             ("sweep", "--snr-db=0:nan:1"),
             ("sweep", "--snr-db", "-4000"),
-            ("eval", "--t", "1e300"),
+            ("eval", "--t", "0"),
             ("eval", "--t", "inf", "--quadrature"),
             ("mc", "--t", "inf"),
             ("mc", "--t", "nan"),
@@ -144,6 +144,24 @@ class TestEvalSweep:
         assert out == ""
         assert err.startswith("mimo-mi: error: ")
         assert "integer ratio" not in err
+
+    @pytest.mark.parametrize(
+        "m,n,t,want",
+        [
+            # about mn/t; both were a float overflow or 0.0 before the
+            # closed form was combined exactly
+            (2, 2, "1e300", 4e-300),
+            (6, 9, "300", 0.17567742220097761),
+        ],
+    )
+    def test_eval_low_snr_value(self, capsys, m, n, t, want):
+        code, out, _ = invoke(
+            capsys, "eval", "-m", str(m), "-n", str(n), "--t", t, "--format", "json"
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["mi_nats"] == pytest.approx(want, rel=1e-13)
+        assert row["err_estimate"] < 1e-13 * row["mi_nats"]
 
     def test_negative_grid_after_space(self, capsys):
         base = ("sweep", "-m", "8", "-n", "8", "--format", "csv")
@@ -322,6 +340,19 @@ class TestParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
         invoke(capsys, *argv)
         assert len(names) == built
+
+
+    @pytest.mark.parametrize("columns", [None, "50", "200"])
+    @pytest.mark.parametrize("command", [None, *_VALID_CALLS])
+    def test_help_matches_stock_formatter(self, capsys, monkeypatch, command, columns):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        argv = ["-h"] if command is None else [command, "-h"]
+        ours = invoke(capsys, *argv)
+        monkeypatch.setattr(cli, "_help_formatter", lambda: argparse.HelpFormatter)
+        assert invoke(capsys, *argv) == ours
 
 
 def test_import_loads_neither_numpy_nor_scipy():

@@ -214,16 +214,17 @@ class TestFrozenTables:
         assert tuple(b(k) for k in range(n + m - 1)) == t.b
 
     def test_build_uses_each_c_once(self, monkeypatch):
+        """The column sums, the build's one use of c_ij, take each once."""
         calls = []
-        real = coefficients.coeff_c
+        real = coefficients._c_scaled
 
-        def counting(i, j, dims):
+        def counting(i, j, m, n):
             calls.append((i, j))
-            return real(i, j, dims)
+            return real(i, j, m, n)
 
-        monkeypatch.setattr(coefficients, "coeff_c", counting)
+        monkeypatch.setattr(coefficients, "_c_scaled", counting)
         d = ChannelDims(48, 64)
-        build_table.__wrapped__(d)
+        coefficients._column_sums(d)
         assert 0 < len(calls) <= d.m * (2 * d.m - 1)
         assert len(set(calls)) == len(calls)
 

@@ -3,8 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from mimo_mi import evaluator
 from mimo_mi import (
     ChannelDims,
     GridMode,
@@ -18,7 +20,7 @@ from mimo_mi import (
     sweep,
     telatar_quadrature,
 )
-from mimo_mi.evaluator import _EI_REL_ERR
+from mimo_mi._gauss_laguerre import NODES, WEIGHTS
 
 # 3 e Gamma(0,1), Gamma(0,1) frozen from quadrature of int_1^inf e^-x/x dx
 MI_2X2_T1 = 1.789042086969582
@@ -54,9 +56,22 @@ class TestEvaluateClosedForm:
             with pytest.raises(ValueError, match="finite"):
                 evaluate_closed_form(table, t)
 
-    def test_overflow_is_a_value_error(self):
-        with pytest.raises(ValueError, match="overflow"):
-            evaluate_closed_form(build_table(ChannelDims(2, 2)), 1e300)
+    def test_huge_t_is_about_mn_over_t(self):
+        table = build_table(ChannelDims(2, 2))
+        r = evaluate_closed_form(table, 1e300)
+        ref = _reference(table, 1e300, dps=700)
+        assert r.value == pytest.approx(4e-300, rel=1e-15)
+        assert abs(mpmath.mpf(r.value) - ref) <= r.err_estimate < r.value
+
+    def test_precision_cap_is_a_value_error(self):
+        # beyond the Stieltjes route's degree, the exact route at t = 1e300
+        # would need about 300,000 bits
+        table = build_table(ChannelDims(1, 300))
+        assert evaluate_closed_form(table, 1e3).value == pytest.approx(
+            0.2622755743961585, rel=1e-15
+        )
+        with pytest.raises(ValueError, match="too large"):
+            evaluate_closed_form(table, 1e300)
 
     def test_monotone_decreasing_in_t(self):
         for dims in (ChannelDims(1, 1), ChannelDims(2, 2), ChannelDims(3, 5)):
@@ -148,32 +163,108 @@ class TestSweep:
             sweep(ChannelDims(2, 2), grid, mode)
 
 
-def _fraction_closed_form(table, t):
-    """The closed form with exact Fraction Horner sums, rounded once each."""
+def _fraction_poly(coeffs, t):
     tf = Fraction(t)
-    poly_a = poly_b = Fraction(0)
-    for c in reversed(table.a):
-        poly_a = poly_a * tf + c
-    for c in reversed(table.b):
-        poly_b = poly_b * tf + c
-    s = ei_exp_scaled(t)
-    fa, fb = float(poly_a), float(poly_b)
-    err = max(
-        2.0 * max(abs(fa), abs(s * fb)) * 2.2e-16,
-        abs(s) * _EI_REL_ERR * abs(fb),
-    )
-    return fa + s * fb, err
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * tf + c
+    return acc
+
+
+def _reference(table, t, dps=400):
+    """A(t) - e^t E1(t) B(t) from the exact table at `dps` digits."""
+    with mpmath.workdps(dps):
+        a, b = _fraction_poly(table.a, t), _fraction_poly(table.b, t)
+        mt = mpmath.mpf(t)
+        return mpmath.mpf(a.numerator) / a.denominator - mpmath.exp(mt) * mpmath.e1(
+            mt
+        ) * mpmath.mpf(b.numerator) / b.denominator
 
 
 class TestIntegerHorner:
+    """The exact route equals a Fraction evaluation of the table with the
+    same dyadic e^t E1(t), rounded once."""
+
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 7), (4, 6), (8, 8), (16, 32)])
-    def test_matches_fraction_horner(self, m, n):
+    def test_matches_fraction_horner(self, m, n, monkeypatch):
         table = build_table(ChannelDims(m, n))
         rng = random.Random(f"horner/{m}x{n}")
         ts = [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(150)] + [1.0, 0.1, 8.0]
+        used = []
+
+        def recording(t, prec=None):
+            used.append(ei_exp_scaled(t, prec))
+            return used[-1]
+
+        monkeypatch.setattr(evaluator, "ei_exp_scaled", recording)
         for t in ts:
+            value, _ = evaluator._exact(table, t, m * n / (t + (m + n) / 2))
+            man, exp = used[-1]
+            scaled_e1 = man * Fraction(2) ** exp
+            want = _fraction_poly(table.a, t) - scaled_e1 * _fraction_poly(table.b, t)
+            assert value == float(want), t
+
+
+# Every dims with m <= 16 and n <= 32 the regression covers, including the
+# degree extremes, and t log-spaced over [1e-6, 1e6] plus a fine grid over
+# [0.3, 10], where the two routes meet.
+_ACCURACY_DIMS = [
+    (1, 1), (2, 2), (8, 8), (15, 16), (16, 16), (16, 17), (12, 24), (16, 32), (1, 32)
+]
+_ACCURACY_TS = [10.0 ** (k / 8) for k in range(-48, 49)] + [
+    0.3 * 10.0 ** (k / 80) for k in range(122)
+]
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("m,n", _ACCURACY_DIMS)
+    def test_within_err_estimate_of_reference(self, m, n):
+        table = build_table(ChannelDims(m, n))
+        for t in _ACCURACY_TS:
             r = evaluate_closed_form(table, t)
-            assert (r.value, r.err_estimate) == _fraction_closed_form(table, t), t
+            ref = _reference(table, t)
+            with mpmath.workdps(30):
+                actual = abs(mpmath.mpf(r.value) - ref)
+                assert actual <= 1e-13 * abs(ref), (t, r)
+            assert actual <= r.err_estimate < abs(r.value), (t, r)
+            # a bound rounded up to two significant digits
+            assert float(f"{r.err_estimate:.1e}") == r.err_estimate, (t, r)
+
+    def test_6x9_at_t300(self):
+        # the float combination of the parent returned 0.0 here
+        r = evaluate_closed_form(build_table(ChannelDims(6, 9)), 300.0)
+        assert r.value == pytest.approx(0.17567742220097761, rel=1e-13)
+
+    def test_both_routes_are_taken(self):
+        table = build_table(ChannelDims(8, 8))
+        rule = evaluator._stieltjes_rule(table.dims, table.b_num, table.denominator)
+        routed = [
+            evaluator._stieltjes(rule, table.dims, t, 64 / (t + 8)) is not None
+            for t in (1e-3, 0.5, 2.0, 1e3)
+        ]
+        assert routed == [False, False, True, True]
+
+
+class TestGaussLaguerreRule:
+    def test_constants_are_mpmath_rule_rounded(self):
+        with mpmath.workdps(40):
+            nodes, weights = mpmath.gauss_quadrature(128, "laguerre")
+            assert NODES == tuple(float(x) for x in nodes)
+            assert WEIGHTS == tuple(float(w) for w in weights)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.01, 0.1, 0.3])
+    def test_remainder_bound(self, t):
+        """0 <= e^t E1(t) - sum_i w_i / (t + x_i) <= 1 / (t L_128(-t)^2)."""
+        with mpmath.workdps(60):
+            mt = mpmath.mpf(t)
+            rule = mpmath.fsum(
+                mpmath.mpf(w) / (mt + mpmath.mpf(x)) for x, w in zip(NODES, WEIGHTS)
+            )
+            remainder = mpmath.exp(mt) * mpmath.e1(mt) - rule
+            laguerre = mpmath.laguerre(128, 0, -mt)
+            assert 0 <= remainder <= 1 / (mt * laguerre**2)
+            # the route's bound uses the largest term of L_128(-t)
+            assert math.exp(evaluator._ln_laguerre_lower(t)) <= laguerre
 
 
 class TestSerialization:
