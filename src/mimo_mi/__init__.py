@@ -23,16 +23,6 @@ from .evaluator import (
     results_to_json,
     sweep,
 )
-from .oracles import (
-    ConvergenceError,
-    McReport,
-    density_moment,
-    lemma1_check,
-    lnt_identity_check,
-    monte_carlo_mi,
-    one_point_density,
-    telatar_quadrature,
-)
 from .special_functions import (
     ei_exp_scaled,
     laguerre_eval,
@@ -66,3 +56,31 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Resolved from .oracles on first use (PEP 562), so that importing the
+# package, or the CLI for a command that needs no oracle, does not load
+# the oracles and what they import.
+_ORACLE_NAMES = frozenset(
+    {
+        "ConvergenceError",
+        "McReport",
+        "density_moment",
+        "lemma1_check",
+        "lnt_identity_check",
+        "monte_carlo_mi",
+        "one_point_density",
+        "telatar_quadrature",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

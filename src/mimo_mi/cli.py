@@ -27,8 +27,6 @@ from .evaluator import (
     results_to_json,
     sweep,
 )
-from .oracles import ConvergenceError, monte_carlo_mi, telatar_quadrature
-from .verification import check_three_way, run_all
 
 FORMAT_ENV_VAR = "MIMO_MI_FORMAT"
 # Most points a 'start:stop:step' SNR grid may expand to.
@@ -74,24 +72,45 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _emit(text: str, path: str | None) -> None:
     """Write to stdout, or atomically to a file (temp + rename) so a
-    failure never leaves partial output behind."""
+    failure never leaves partial output behind.  A file that cannot be
+    written is a ValueError naming it."""
     if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mimo-mi-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mimo-mi-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_str_digits(dims: ChannelDims, ints) -> None:
+    """Raise ValueError if any of `ints` has more decimal digits than this
+    interpreter converts to a string (sys.get_int_max_str_digits())."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    biggest = max(map(abs, ints), default=0)
+    # 10**limit has more than 3.32 * limit bits, so a shorter int needs no
+    # exact comparison (nor 10**limit built, which is slow for a huge limit)
+    if biggest.bit_length() > 3.32 * limit and biggest >= 10**limit:
+        raise ValueError(
+            f"the {dims.m} x {dims.n} table has integers of more than {limit} "
+            "digits, Python's limit for converting an int to text; "
+            "PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        )
 
 
 def _resolve_grid(args) -> tuple[list[float], GridMode]:
@@ -119,6 +138,9 @@ def _format_results(results, fmt: str) -> str:
 
 def _cmd_coeffs(args) -> int:
     table = build_table(ChannelDims(args.m, args.n))
+    _check_str_digits(
+        table.dims, (x for c in table.a + table.b for x in c.as_integer_ratio())
+    )
     if args.format == "json":
         text = table.to_json()
     elif args.format == "csv":
@@ -139,6 +161,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_render(args) -> int:
     table = build_table(ChannelDims(args.m, args.n))
+    _check_str_digits(table.dims, (table.denominator, *table.a_num, *table.b_num))
     expr = render_expression(table)
     if args.format == "json":
         text = json.dumps(
@@ -154,6 +177,8 @@ def _cmd_eval_sweep(args) -> int:
     dims = ChannelDims(args.m, args.n)
     grid, mode = _resolve_grid(args)
     if getattr(args, "quadrature", False):
+        from .oracles import telatar_quadrature
+
         results = [telatar_quadrature(dims, t) for t in _grid_to_ts(grid, mode)]
     else:
         results = sweep(dims, grid, mode)
@@ -162,6 +187,8 @@ def _cmd_eval_sweep(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from .oracles import monte_carlo_mi
+
     dims = ChannelDims(args.m, args.n)
     report = monte_carlo_mi(
         dims, args.t, args.samples, seed=args.seed, workers=args.workers
@@ -186,6 +213,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import check_three_way, run_all
+
     if (args.m is None) != (args.n is None):
         raise ValueError("verify needs both -m and -n, or neither")
     if args.m is not None:
@@ -334,7 +363,12 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError, OverflowError) as exc:
         print(f"mimo-mi: error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
+    except RuntimeError as exc:
+        # only the oracles raise ConvergenceError, so they are loaded by now
+        from .oracles import ConvergenceError
+
+        if not isinstance(exc, ConvergenceError):
+            raise
         print(f"mimo-mi: quadrature failure: {exc}", file=sys.stderr)
         return 2
 

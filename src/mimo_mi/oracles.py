@@ -103,29 +103,32 @@ def _quad(
     span = hi[0] - lo[0]
     value = err = 0.0
     count = 1
-    while True:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        fx = g(mid[:, None] + half[:, None] * nodes)
-        if not np.all(np.isfinite(fx)):
-            raise ConvergenceError(f"integrand not finite on [{a}, {b}]")
-        kg = (fx @ weights) * half[:, None]
-        est = np.abs(kg[:, 0] - kg[:, 1])
-        tol = max(abs_tol, rel_tol * abs(value + kg[:, 0].sum()))
-        done = est <= tol * (2.0 * half / span)
-        value += kg[done, 0].sum()
-        err += est[done].sum()
-        if done.all():
-            err += _ROUNDOFF_ULPS * np.finfo(float).eps * abs(value)
-            return float(value), float(err)
-        lo, hi, mid = lo[~done], hi[~done], mid[~done]
-        count += len(mid)
-        if count > _MAX_SUBDIVISIONS:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] needs more than "
-                f"{_MAX_SUBDIVISIONS} subintervals"
-            )
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    # f may overflow or divide by zero at extreme arguments (say lam/t at
+    # subnormal t); the isfinite check below reports that, so numpy need not.
+    with np.errstate(all="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            fx = g(mid[:, None] + half[:, None] * nodes)
+            if not np.all(np.isfinite(fx)):
+                raise ConvergenceError(f"integrand not finite on [{a}, {b}]")
+            kg = (fx @ weights) * half[:, None]
+            est = np.abs(kg[:, 0] - kg[:, 1])
+            tol = max(abs_tol, rel_tol * abs(value + kg[:, 0].sum()))
+            done = est <= tol * (2.0 * half / span)
+            value += kg[done, 0].sum()
+            err += est[done].sum()
+            if done.all():
+                err += _ROUNDOFF_ULPS * np.finfo(float).eps * abs(value)
+                return float(value), float(err)
+            lo, hi, mid = lo[~done], hi[~done], mid[~done]
+            count += len(mid)
+            if count > _MAX_SUBDIVISIONS:
+                raise ConvergenceError(
+                    f"quadrature on [{a}, {b}] needs more than "
+                    f"{_MAX_SUBDIVISIONS} subintervals"
+                )
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
 def _root_weight(alpha: int, lam):
@@ -401,9 +404,8 @@ def lemma1_check(k: int, t: float) -> tuple[float, float]:
 
     def integrand(x):
         # x^k overflows only where e^-x has underflowed: the product is 0 there.
-        with np.errstate(over="ignore", invalid="ignore"):
-            damp = np.exp(-x)
-            return np.where(damp > 0, x**k * np.log(x) * damp, 0.0)
+        damp = np.exp(-x)
+        return np.where(damp > 0, x**k * np.log(x) * damp, 0.0)
 
     lhs, _ = _quad(integrand, t, math.inf)
     return lhs, _log_gamma_integral(k, t)

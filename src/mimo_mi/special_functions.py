@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from mpmath import libmp
-
 # Working precision in bits of the float e^t Ei(-t): what mpmath gives 40
 # digits.
 _EI_PREC = 136
@@ -77,6 +75,9 @@ def ei_exp_scaled(t: float, prec: int | None = None):
     deliberately unsupported; nothing in this package needs them.
     """
     _check_t(t)
+    # imported here so that only callers of this function load mpmath
+    from mpmath import libmp
+
     x = libmp.from_float(t)
     rnd = libmp.round_nearest
     work = _EI_PREC if prec is None else prec + _EI_GUARD_BITS

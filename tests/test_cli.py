@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -163,6 +164,14 @@ class TestEvalSweep:
         assert row["mi_nats"] == pytest.approx(want, rel=1e-13)
         assert row["err_estimate"] < 1e-13 * row["mi_nats"]
 
+    def test_quadrature_failure_exit_2(self, capsys):
+        code, out, err = invoke(
+            capsys, "eval", "-m", "2", "-n", "2", "--t", "5e-324", "--quadrature"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "mimo-mi: quadrature failure: integrand not finite on [0.0, inf]\n"
+
     def test_negative_grid_after_space(self, capsys):
         base = ("sweep", "-m", "8", "-n", "8", "--format", "csv")
         code, spaced, _ = invoke(capsys, *base, "--snr-db", "-10:40:0.25")
@@ -239,6 +248,42 @@ class TestLimits:
         assert len(cli._parse_grid("0:999999:1")) == 10**6
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestDigitLimit:
+    """A table whose integers exceed the interpreter's int-to-str limit is
+    a plain exit 1 that names the limit, not CPython's advice to call
+    sys.set_int_max_str_digits()."""
+
+    @pytest.fixture
+    def limit_640(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("command", ["coeffs", "render"])
+    def test_table_beyond_limit_exit_1(self, capsys, limit_640, command):
+        code, out, err = invoke(capsys, command, "-m", "1", "-n", "400")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "mimo-mi: error: the 1 x 400 table has integers of more than 640 "
+            "digits, Python's limit for converting an int to text; "
+            "PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+        )
+
+    def test_check_is_exact(self, limit_640):
+        dims = ChannelDims(1, 1)
+        cli._check_str_digits(dims, [1, -(10**640 - 1)])
+        str(10**640 - 1)  # which Python does print at this limit
+        with pytest.raises(ValueError, match="more than 640 digits"):
+            cli._check_str_digits(dims, [1, -(10**640)])
+
+
 class TestOutputFile:
     def test_atomic_write(self, tmp_path, capsys):
         target = tmp_path / "out.json"
@@ -252,6 +297,27 @@ class TestOutputFile:
         assert json.loads(target.read_text())["m"] == 2
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".mimo-mi-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize(
+        "command, target, error",
+        [
+            pytest.param(
+                ("eval", "--t", "1"), "missing/x.csv", errno.ENOENT, id="no-such-dir"
+            ),
+            pytest.param(("coeffs",), "a_directory", errno.EISDIR, id="a-directory"),
+        ],
+    )
+    def test_unwritable_path_exit_1(self, tmp_path, capsys, command, target, error):
+        (tmp_path / "a_directory").mkdir()
+        path = str(tmp_path / target)
+        code, out, err = invoke(
+            capsys, command[0], "-m", "2", "-n", "2", *command[1:], "-o", path
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"mimo-mi: error: cannot write {path}: {os.strerror(error)}\n"
+        assert sorted(os.listdir(tmp_path)) == ["a_directory"]
+        assert os.listdir(tmp_path / "a_directory") == []
 
     def test_format_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("MIMO_MI_FORMAT", "json")
@@ -355,25 +421,59 @@ class TestParser:
         assert invoke(capsys, *argv) == ours
 
 
-def test_import_loads_neither_numpy_nor_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mimo_mi.__file__)))
-    code = (
-        "import sys, mimo_mi.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(mimo_mi.__file__)))
+# What only some commands need: none of these may load with the CLI.
+_LAZY = (
+    "numpy",
+    "scipy",
+    "mpmath",
+    "concurrent.futures",
+    "mimo_mi.oracles",
+    "mimo_mi.verification",
+)
+
+
+def _fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter importing this package."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    out = _fresh(
+        "import sys, mimo_mi, mimo_mi.cli; "
+        "assert set(mimo_mi.__all__) <= set(dir(mimo_mi)); "
+        f"print(sorted(m for m in {_LAZY!r} if m in sys.modules))"
     )
-    assert out.stdout.strip() == "[]"
+    assert out.strip() == "[]"
     # the oracles need numpy alone
-    code = (
+    out = _fresh(
         "import sys, mimo_mi.cli as cli; "
         "assert cli.run(['eval', '-m', '3', '-n', '5', '--t', '0.5', '--quadrature']) == 0; "
         "assert cli.run(['verify', '-m', '2', '-n', '2', '--t', '1']) == 0; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_mpmath",
+    [
+        (["coeffs", "-m", "4", "-n", "4"], False),
+        (["render", "-m", "4", "-n", "6"], False),
+        (["mc", "-m", "2", "-n", "4", "--t", "1", "--samples", "2000"], False),
+        (["eval", "-m", "4", "-n", "4", "--t", "1", "--quadrature"], False),
+        # the Stieltjes route takes t = 10, the exact route (mpmath's E1) 0.01
+        (["eval", "-m", "4", "-n", "4", "--t", "10"], False),
+        (["eval", "-m", "4", "-n", "4", "--t", "0.01"], True),
+    ],
+)
+def test_mpmath_loads_only_for_the_exact_route(argv, loads_mpmath):
+    out = _fresh(
+        "import sys, mimo_mi.cli as cli; "
+        f"assert cli.run({argv!r}) == 0; "
+        "print('mpmath' in sys.modules)"
     )
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert out.strip().splitlines()[-1] == str(loads_mpmath)

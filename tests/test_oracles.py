@@ -126,6 +126,12 @@ class TestQuad:
         with pytest.raises(ConvergenceError, match="not finite"):
             oracles._quad(lambda x: np.full_like(x, np.nan), 0.0, math.inf)
 
+    def test_subnormal_t_is_a_convergence_error(self):
+        # lam / t overflows at the nodes: reported once, with no numpy
+        # warning first (pytest turns warnings into errors)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            telatar_quadrature(ChannelDims(2, 2), 1e-310)
+
     def test_kernel_finite_where_weight_underflows(self):
         lam = np.array([1e-300, 1.0, 1e3, 1e6, 1e300])
         for m, alpha in ((1, 0), (16, 16), (64, 64)):
