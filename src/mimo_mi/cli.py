@@ -72,22 +72,26 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _emit(text: str, path: str | None) -> None:
     """Write to stdout, or atomically to a file (temp + rename) so a
-    failure never leaves partial output behind.  A file that cannot be
-    written is a ValueError naming it."""
+    failure never leaves partial output behind.  Symlinks are followed,
+    and a target that exists but is no regular file (a FIFO, a device)
+    is written in place.  A file that cannot be written is a ValueError
+    naming it."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mimo-mi-")
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".mimo-mi-")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

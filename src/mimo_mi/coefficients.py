@@ -6,7 +6,7 @@ mutual information is
     E[I] = sum_{k=0}^{n+m-3} a_k t^k  +  e^t Ei(-t) sum_{k=0}^{n+m-2} b_k t^k
 
 with t the inverse SNR.  This module computes the a_k, b_k and the
-underlying c_ij in exact arbitrary-precision rational arithmetic; no
+underlying c_ij exactly, on integers over common denominators; no
 floating point enters here.  The intermediate factorial terms alternate
 in sign and cancel heavily, which is why a fixed-width fast path is a
 bad idea.
@@ -17,10 +17,16 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
+
+# Largest table build_table builds, in units of its work estimate
+# (n+m-2) ((n+m-2)^2 + m^3): the final gcd and division grow as the
+# first term, the column sums' binomials as the second.  1.4e11 units
+# take about 10 s on a 2-core Xeon (1x4800 8 s, 500x500 10 s).
+_MAX_BUILD_WORK = 14 * 10**10
 
 
 @dataclass(frozen=True)
@@ -99,112 +105,103 @@ def _column_sums(dims: ChannelDims) -> tuple[list[int], int]:
     return nums, den
 
 
-def _a_from_sums(
-    k: int, dims: ChannelDims, sums: tuple[list[int], int], fact: list[int]
-) -> Fraction:
-    """a_0 = sum_i (i+d)! H_{i+d} C_i and, for k >= 1,
-    a_k = (-1)^k / (k k!) sum_{i >= k-d+1} ((i+d)! - k! (i+d-k)!) C_i,
-    with d = n - m and fact[j] = j!."""
-    nums, den = sums
-    d = dims.n - dims.m
-    if k == 0:
-        # h = H_{i+d} = 1 + 1/2 + ... + 1/(i+d), kept as a running sum
-        h = sum((Fraction(1, l) for l in range(1, d + 1)), Fraction(0))
-        acc = Fraction(0)
-        for i, c in enumerate(nums):
-            acc += fact[i + d] * h * c
-            h += Fraction(1, i + d + 1)
-        return acc / den
-    fk = fact[k]
-    acc = sum(
-        (fact[i + d] - fk * fact[i + d - k]) * nums[i]
-        for i in range(max(0, k - d + 1), len(nums))
-    )
-    return Fraction((-1) ** k * acc, k * fk * den)
-
-
-def _b_from_sums(
-    k: int, dims: ChannelDims, sums: tuple[list[int], int], fact: list[int]
-) -> Fraction:
-    """b_k = -(-1)^k m / k! for k <= d, else
-    b_k = -(-1)^k / k! sum_{i >= k-d} (i+d)! C_i, with d = n - m and
-    fact[j] = j!."""
-    nums, den = sums
-    d = dims.n - dims.m
-    if k <= d:
-        return Fraction(-((-1) ** k) * dims.m, fact[k])
-    acc = sum(fact[i + d] * nums[i] for i in range(k - d, len(nums)))
-    return Fraction(-((-1) ** k) * acc, fact[k] * den)
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Full exact coefficient set for one channel dimension pair.
+    """Full exact coefficient set for one channel dimension pair, as
+    integers over one common denominator in lowest terms:
+    a_k = a_num[k] / denominator and b_k = b_num[k] / denominator.
 
     a has n+m-2 entries (empty when m = n = 1), b has n+m-1 entries;
     immutable after construction and safe to share across threads.
-    The same coefficients are also kept over one common denominator:
-    a[k] == a_num[k] / denominator and b[k] == b_num[k] / denominator.
     """
 
     dims: ChannelDims
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    a_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    b_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int
+    a_num: tuple[int, ...]
+    b_num: tuple[int, ...]
 
-    def __post_init__(self):
-        lcd = math.lcm(*(c.denominator for c in self.a + self.b))
+    @cached_property
+    def a(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.a_num)
 
-        def scaled(coeffs):
-            return tuple(c.numerator * (lcd // c.denominator) for c in coeffs)
-
-        object.__setattr__(self, "denominator", lcd)
-        object.__setattr__(self, "a_num", scaled(self.a))
-        object.__setattr__(self, "b_num", scaled(self.b))
+    @cached_property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.b_num)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.dims.m,
-                "n": self.dims.n,
-                "a": [str(x) for x in self.a],
-                "b": [str(x) for x in self.b],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoefficientTable":
-        obj = json.loads(text)
-        return cls(
-            dims=ChannelDims(obj["m"], obj["n"]),
-            a=tuple(Fraction(x) for x in obj["a"]),
-            b=tuple(Fraction(x) for x in obj["b"]),
-        )
+        a, b = [str(x) for x in self.a], [str(x) for x in self.b]
+        return json.dumps({"m": self.dims.m, "n": self.dims.n, "a": a, "b": b})
 
 
 @lru_cache(maxsize=None)
 def build_table(dims: ChannelDims) -> CoefficientTable:
     """Compute the complete exact table for the given dimensions.
 
-    Cached per dims; the cache only ever stores immutable values, so
-    concurrent first calls at worst duplicate work.
+    With d = n - m, C_i = sum_j c_ij and the suffix sums
+    S_j = sum_{i >= j} (i+d)! C_i,
+
+        b_k = -(-1)^k S_{max(0, k-d)} / k!,
+        a_0 = sum_i (i+d)! H_{i+d} C_i,
+        a_k = -(b_k + (-1)^k sum_{i >= max(0, k-d)} (i+d-k)! C_i) / k.
+
+    Everything runs on integers over one common denominator, reduced by
+    a single gcd at the end.  Cached per dims; the cache only ever
+    stores immutable values, so concurrent first calls at worst
+    duplicate work.
     """
     m, n = dims.m, dims.n
-    sums = _column_sums(dims)
-    # 0! .. (n+m-2)!: every factorial the sums over i and k below take
-    fact = list(accumulate(range(1, n + m - 1), operator.mul, initial=1))
+    d, top = n - m, n + m - 2
+    if top * (top * top + m**3) > _MAX_BUILD_WORK:
+        raise ValueError(
+            f"the {m} x {n} table is too large to build: (n+m-2)((n+m-2)^2 + m^3) "
+            f"is above {_MAX_BUILD_WORK:.2g}, about 10 s of work"
+        )
+    nums, den = _column_sums(dims)
+    # 0! .. (n+m-2)!: every factorial the sums below take
+    fact = list(accumulate(range(1, top + 1), operator.mul, initial=1))
+    # C_i = c[i] / den and S_j = s[j] / delta, each in lowest terms
+    g = math.gcd(den, *nums)
+    c, den = [x // g for x in nums], den // g
+    s = list(accumulate(fact[i + d] * c[i] for i in reversed(range(len(c)))))[::-1]
     # Two guards; a failure means the coefficient code itself is wrong.  The
     # last column sum, c_{2m-2,m-2} + c_{2m-2,m-1}, equals coeff_c's, which
     # checks the integer scaling of every sum; and the t-free part of the
-    # log-cancellation identity, sum_i (i+n-m)! C_i = m, holds.
-    nums, den = sums
+    # log-cancellation identity, S_0 = m, holds.
     last = sum(coeff_c(2 * m - 2, j, dims) for j in (m - 2, m - 1))
-    if Fraction(nums[-1], den) != last or (
-        sum(fact[i + n - m] * c for i, c in enumerate(nums)) != m * den
-    ):
+    if Fraction(c[-1], den) != last or s[0] != m * den:
         raise AssertionError(f"internal consistency failure for dims ({m}, {n})")
-    a = tuple(_a_from_sums(k, dims, sums, fact) for k in range(n + m - 2))
-    b = tuple(_b_from_sums(k, dims, sums, fact) for k in range(n + m - 1))
-    return CoefficientTable(dims=dims, a=a, b=b)
+    g = math.gcd(den, *s)
+    s, delta = [x // g for x in s], den // g
+    # big is a common denominator: delta k! k (k < top), delta top! and
+    # den k all divide it, and every H_{i+d} is an integer over lcm(1..top)
+    lcm_top = math.lcm(*range(1, top + 1))
+    big = lcm_top * math.lcm(delta * fact[max(top - 1, 0)], den)
+    scale = big // (delta * fact[top])  # big / (delta k!), from k = top down
+    b_num = [0] * (top + 1)
+    for k in reversed(range(top + 1)):
+        b_num[k] = (-1) ** (k + 1) * s[max(0, k - d)] * scale
+        scale *= k
+    per_c = big // den
+    a_num = [0] * top
+    for k in range(1, top):
+        # sum_{i >= i0} (i+d-k)! c[i] = (i0+d-k)! (c[i0] + (i0+d-k+1) (c[i0+1]
+        # + ...)), so the Horner steps multiply by small ints only
+        i0, acc = max(0, k - d), 0
+        for i in reversed(range(i0, len(c))):
+            acc = acc * (i + d - k + 1) + c[i]
+        a_num[k] = -(b_num[k] + (-1) ** k * per_c * fact[i0 + d - k] * acc) // k
+    if top:
+        # h = lcm_top H_{i+d}, kept as a running sum
+        h = sum(lcm_top // l for l in range(1, d + 1))
+        acc = 0
+        for i, x in enumerate(c):
+            acc += fact[i + d] * h * x
+            h += lcm_top // (i + d + 1)
+        a_num[0] = per_c // lcm_top * acc
+    g = math.gcd(big, *a_num, *b_num)
+    return CoefficientTable(
+        dims=dims,
+        denominator=big // g,
+        a_num=tuple(x // g for x in a_num),
+        b_num=tuple(x // g for x in b_num),
+    )

@@ -1,14 +1,18 @@
 import argparse
 import errno
 import json
+import math
 import os
+import stat
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
 import mimo_mi
-from mimo_mi import ChannelDims, build_table, cli, render_expression
+from mimo_mi import ChannelDims, CoefficientTable, build_table, cli, render_expression
 from mimo_mi.cli import run
 
 
@@ -64,11 +68,17 @@ class TestRender:
         )
 
     def test_round_trip_coeffs_to_render(self, capsys):
-        from mimo_mi import CoefficientTable
-
         code, out, _ = invoke(capsys, "coeffs", "-m", "4", "-n", "6", "--format", "json")
         assert code == 0
-        table = CoefficientTable.from_json(out)
+        obj = json.loads(out)
+        a, b = ([Fraction(x) for x in obj[key]] for key in "ab")
+        den = math.lcm(*(c.denominator for c in a + b))
+        table = CoefficientTable(
+            ChannelDims(obj["m"], obj["n"]),
+            den,
+            tuple(c.numerator * (den // c.denominator) for c in a),
+            tuple(c.numerator * (den // c.denominator) for c in b),
+        )
         code, rendered, _ = invoke(capsys, "render", "-m", "4", "-n", "6")
         assert rendered.strip() == render_expression(table)
 
@@ -229,7 +239,7 @@ class TestLimits:
         [
             # (stop - start) / step overflows to inf
             ("sweep", "-m", "1", "-n", "1", "--snr-db", "0:1e308:1e-300"),
-            # math.factorial overflows
+            # far past the table's dims cap
             ("coeffs", "-m", "2", "-n", "99999999999999999999"),
             # ln det(I + H H*/t) overflows: nan, then inf, mean
             ("mc", "-m", "4", "-n", "6", "--t", "1e-307", "--samples", "200000"),
@@ -241,6 +251,17 @@ class TestLimits:
         assert code == 1
         assert out == ""
         assert err.startswith("mimo-mi: error: ")
+
+    @pytest.mark.parametrize("command", ["coeffs", "render", "eval"])
+    def test_dims_cap_exit_1(self, capsys, command):
+        extra = ("--t", "1") if command == "eval" else ()
+        code, out, err = invoke(capsys, command, "-m", "1000", "-n", "1000", *extra)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "mimo-mi: error: the 1000 x 1000 table is too large to build: "
+            "(n+m-2)((n+m-2)^2 + m^3) is above 1.4e+11, about 10 s of work\n"
+        )
 
     def test_grid_point_cap(self):
         with pytest.raises(ValueError, match="more than 1000000 points"):
@@ -318,6 +339,45 @@ class TestOutputFile:
         assert err == f"mimo-mi: error: cannot write {path}: {os.strerror(error)}\n"
         assert sorted(os.listdir(tmp_path)) == ["a_directory"]
         assert os.listdir(tmp_path / "a_directory") == []
+
+    def test_symlink_keeps_link_and_writes_its_target(self, tmp_path, capsys):
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "real.json"
+        real.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        code, out, _ = invoke(
+            capsys,
+            "coeffs", "-m", "2", "-n", "2", "--format", "json", "-o", str(link),
+        )
+        assert code == 0
+        assert out == ""
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert json.loads(real.read_text())["m"] == 2
+        # the temp file went next to the resolved file and was renamed away
+        assert sorted(os.listdir(tmp_path)) == ["data", "link.json"]
+        assert os.listdir(tmp_path / "data") == ["real.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        # daemon: a reader left blocked on a FIFO must not hold up exit
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_text()), daemon=True
+        )
+        reader.start()
+        code, out, _ = invoke(
+            capsys,
+            "coeffs", "-m", "2", "-n", "2", "--format", "json", "-o", str(fifo),
+        )
+        reader.join(timeout=10)
+        assert code == 0
+        assert out == ""
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert len(got) == 1 and json.loads(got[0])["m"] == 2
+        assert os.listdir(tmp_path) == ["pipe"]
 
     def test_format_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("MIMO_MI_FORMAT", "json")

@@ -7,12 +7,7 @@ from fractions import Fraction
 import pytest
 
 import mimo_mi.coefficients as coefficients
-from mimo_mi import (
-    ChannelDims,
-    CoefficientTable,
-    build_table,
-    coeff_c,
-)
+from mimo_mi import ChannelDims, build_table, coeff_c
 
 
 def _harmonic(l):
@@ -139,6 +134,28 @@ class TestBuildTable:
                     assert bound % c.denominator == 0
 
 
+class TestDimsCap:
+    """build_table refuses a table past its work cap before any work."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(dims):
+            raise RuntimeError("building")
+
+        monkeypatch.setattr(coefficients, "_column_sums", refuse)
+        return build_table.__wrapped__  # past the cache
+
+    @pytest.mark.parametrize("m,n", [(600, 600), (1, 6000), (2, 10**30)])
+    def test_too_large_rejected(self, no_build, m, n):
+        with pytest.raises(ValueError, match=r"too large to build.* above 1\.4e\+11"):
+            no_build(ChannelDims(m, n))
+
+    @pytest.mark.parametrize("m,n", [(64, 128), (1, 1200), (1, 1700), (500, 500)])
+    def test_accepted(self, no_build, m, n):
+        with pytest.raises(RuntimeError, match="building"):
+            no_build(ChannelDims(m, n))
+
+
 class TestExactIdentity:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_cij_sum_equals_m(self, m):
@@ -155,8 +172,10 @@ class TestExactIdentity:
 class TestSerialization:
     def test_json_round_trip(self):
         t = build_table(ChannelDims(2, 4))
-        back = CoefficientTable.from_json(t.to_json())
-        assert back == t
+        obj = json.loads(t.to_json())
+        assert ChannelDims(obj["m"], obj["n"]) == t.dims
+        assert tuple(map(Fraction, obj["a"])) == t.a
+        assert tuple(map(Fraction, obj["b"])) == t.b
 
     def test_json_shape(self):
         import json
@@ -231,16 +250,10 @@ class TestFrozenTables:
 
 class TestIntegerForm:
     def test_common_denominator(self):
-        t = build_table(ChannelDims(4, 6))
-        assert t.denominator == 720
-        for c, num in zip(t.a + t.b, t.a_num + t.b_num):
-            assert c == Fraction(num, t.denominator)
-
-    def test_derived_on_json_load(self):
-        t = build_table(ChannelDims(3, 7))
-        back = CoefficientTable.from_json(t.to_json())
-        assert (back.denominator, back.a_num, back.b_num) == (
-            t.denominator,
-            t.a_num,
-            t.b_num,
-        )
+        assert build_table(ChannelDims(4, 6)).denominator == 720
+        for m in range(1, 17):
+            for n in range(m, 33):
+                t = build_table(ChannelDims(m, n))
+                assert math.gcd(t.denominator, *t.a_num, *t.b_num) == 1, (m, n)
+                assert t.a == tuple(Fraction(x, t.denominator) for x in t.a_num)
+                assert t.b == tuple(Fraction(x, t.denominator) for x in t.b_num)

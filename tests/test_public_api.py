@@ -1,3 +1,5 @@
+import dataclasses
+
 import mimo_mi
 
 PUBLIC_API = [
@@ -34,3 +36,9 @@ def test_all_is_pinned():
 def test_all_names_resolve():
     for name in mimo_mi.__all__:
         assert getattr(mimo_mi, name) is not None, name
+
+
+def test_coefficient_table_fields_are_pinned():
+    # the constructor is public: any change to its fields shows up here
+    names = [f.name for f in dataclasses.fields(mimo_mi.CoefficientTable)]
+    assert names == ["dims", "denominator", "a_num", "b_num"]
