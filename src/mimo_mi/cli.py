@@ -15,8 +15,8 @@ import math
 import os
 import re
 import shutil
+import stat
 import sys
-import tempfile
 
 from .coefficients import ChannelDims, build_table
 from .evaluator import (
@@ -70,12 +70,28 @@ def _parse_grid(spec: str) -> list[float]:
     return [g for g in grid if g <= stop + 1e-9 * max(1.0, abs(stop))]
 
 
+def _create_temp(directory: str) -> tuple[int, str]:
+    """(fd, path) of a new, empty file in `directory`, open for writing.
+
+    It is created with mode 0666, from which the kernel takes away the
+    umask, just as for a file that open(path, "w") creates.
+    (tempfile.mkstemp would create it 0600.)
+    """
+    while True:
+        path = os.path.join(directory, f".mimo-mi-{os.urandom(8).hex()}")
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), path
+        except FileExistsError:
+            continue
+
+
 def _emit(text: str, path: str | None) -> None:
     """Write to stdout, or atomically to a file (temp + rename) so a
-    failure never leaves partial output behind.  Symlinks are followed,
-    and a target that exists but is no regular file (a FIFO, a device)
-    is written in place.  A file that cannot be written is a ValueError
-    naming it."""
+    failure never leaves partial output behind.  A new file gets the
+    mode 0666 less the umask, and a replaced one keeps its mode.
+    Symlinks are followed, and a target that exists but is no regular
+    file (a FIFO, a device) is written in place.  A file that cannot be
+    written is a ValueError naming it."""
     if not text.endswith("\n"):
         text += "\n"
     if path is None:
@@ -87,10 +103,12 @@ def _emit(text: str, path: str | None) -> None:
                 fh.write(text)
             return
         target = os.path.realpath(path)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".mimo-mi-")
+        fd, tmp = _create_temp(os.path.dirname(target))
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):

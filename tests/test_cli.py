@@ -379,6 +379,32 @@ class TestOutputFile:
         assert len(got) == 1 and json.loads(got[0])["m"] == 2
         assert os.listdir(tmp_path) == ["pipe"]
 
+    @pytest.mark.parametrize(
+        "umask, before, after",
+        [
+            (0o022, None, 0o644),
+            (0o077, None, 0o600),
+            (0o022, 0o644, 0o644),
+            (0o022, 0o640, 0o640),
+        ],
+        ids=["new-umask-022", "new-umask-077", "replaced-0644", "replaced-0640"],
+    )
+    def test_file_mode(self, tmp_path, capsys, umask, before, after):
+        """A new file gets 0666 less the umask, as open() gives it, and a
+        file that is replaced keeps its mode."""
+        target = tmp_path / "out.txt"
+        if before is not None:
+            target.write_text("old\n")
+            target.chmod(before)
+        old_umask = os.umask(umask)
+        try:
+            code, _, _ = invoke(capsys, "coeffs", "-m", "2", "-n", "2", "-o", str(target))
+        finally:
+            os.umask(old_umask)
+        assert code == 0
+        assert target.read_text().startswith("dims: m=2 n=2")
+        assert stat.S_IMODE(target.stat().st_mode) == after
+
     def test_format_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("MIMO_MI_FORMAT", "json")
         code, out, _ = invoke(capsys, "coeffs", "-m", "2", "-n", "2")
@@ -518,22 +544,29 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert out.strip().splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize(
-    "argv, loads_mpmath",
-    [
-        (["coeffs", "-m", "4", "-n", "4"], False),
-        (["render", "-m", "4", "-n", "6"], False),
-        (["mc", "-m", "2", "-n", "4", "--t", "1", "--samples", "2000"], False),
-        (["eval", "-m", "4", "-n", "4", "--t", "1", "--quadrature"], False),
-        # the Stieltjes route takes t = 10, the exact route (mpmath's E1) 0.01
-        (["eval", "-m", "4", "-n", "4", "--t", "10"], False),
-        (["eval", "-m", "4", "-n", "4", "--t", "0.01"], True),
-    ],
+# One call of every command, each route of eval among them: the
+# Stieltjes route takes t = 10, the exact route (and so Ei) t = 0.01.
+_EVERY_COMMAND = (
+    ["coeffs", "-m", "4", "-n", "4"],
+    ["render", "-m", "4", "-n", "6"],
+    ["eval", "-m", "4", "-n", "4", "--t", "10"],
+    ["eval", "-m", "4", "-n", "4", "--t", "0.01"],
+    ["eval", "-m", "4", "-n", "4", "--t", "1", "--quadrature"],
+    ["sweep", "-m", "2", "-n", "3", "--snr-db", "-10:40:5"],
+    ["mc", "-m", "2", "-n", "4", "--t", "1", "--samples", "2000"],
+    ["verify", "-m", "2", "-n", "2", "--t", "1", "--mc-samples", "2000", "--rel-tol", "0.5"],
 )
-def test_mpmath_loads_only_for_the_exact_route(argv, loads_mpmath):
+
+
+def test_no_command_loads_mpmath():
+    """mpmath is a test dependency only."""
     out = _fresh(
-        "import sys, mimo_mi.cli as cli; "
-        f"assert cli.run({argv!r}) == 0; "
-        "print('mpmath' in sys.modules)"
+        "import sys, mimo_mi.cli as cli\n"
+        "loaded_by = []\n"
+        f"for argv in {_EVERY_COMMAND!r}:\n"
+        "    assert cli.run(argv) == 0, argv\n"
+        "    if 'mpmath' in sys.modules:\n"
+        "        loaded_by.append(argv[0])\n"
+        "print(loaded_by)"
     )
-    assert out.strip().splitlines()[-1] == str(loads_mpmath)
+    assert out.strip().splitlines()[-1] == "[]"

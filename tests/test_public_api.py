@@ -1,6 +1,12 @@
 import dataclasses
+import os
+import re
+
+import pytest
 
 import mimo_mi
+
+_PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
 
 PUBLIC_API = [
     "ChannelDims",
@@ -42,3 +48,10 @@ def test_coefficient_table_fields_are_pinned():
     # the constructor is public: any change to its fields shows up here
     names = [f.name for f in dataclasses.fields(mimo_mi.CoefficientTable)]
     assert names == ["dims", "denominator", "a_num", "b_num"]
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(_PYPROJECT, "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]

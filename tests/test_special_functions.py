@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -11,6 +12,7 @@ from mimo_mi import (
     laguerre_eval,
     upper_gamma_int,
 )
+from mimo_mi import special_functions
 
 _XS = (0.0, 0.5, 1.0, 3.0, 7.25)
 
@@ -162,6 +164,16 @@ class TestExpIntegral:
             monkeypatch.setattr(ctx, name, property(getattr(ctx, name).fget, frozen))
         assert [ei_exp_scaled(t) for t in ts] == expected
 
+    def test_float_widens_until_rounding_is_certain(self, monkeypatch):
+        # at 56 bits about half of all values straddle a rounding boundary,
+        # and at 64 bits a few
+        monkeypatch.setattr(special_functions, "_FLOAT_BITS", (56, 64, 128))
+        rng = random.Random("ei/widen")
+        with mpmath.workdps(60):
+            for t in [10.0 ** rng.uniform(-9.0, 3.0) for _ in range(200)]:
+                mt = mpmath.mpf(t)
+                assert ei_exp_scaled(t) == float(-mpmath.exp(mt) * mpmath.e1(mt)), t
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             upper_gamma_int(0, 0.0)
@@ -171,6 +183,79 @@ class TestExpIntegral:
             for f in (lambda t: upper_gamma_int(0, t), ei_exp_scaled):
                 with pytest.raises(ValueError, match="finite"):
                     f(t)
+
+
+def _units_off(man: int, exp: int, t: float, prec: int):
+    """|man 2^exp / (e^t E1(t)) - 1| in units of 2^-prec, against mpmath's
+    exp and E1 at prec + 20 bits."""
+    with mpmath.workprec(prec + 20):
+        mt = mpmath.mpf(t)
+        ref = mpmath.exp(mt) * mpmath.e1(mt)
+    with mpmath.workprec(prec + 40):
+        return mpmath.ldexp(abs(mpmath.ldexp(man, exp) / ref - 1), prec)
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Counts the calls of each branch of the integer e^t E1(t)."""
+    counts = collections.Counter()
+    for name in ("_e1_series", "_e1_cf"):
+        branch = getattr(special_functions, name)
+
+        def counted(*args, _branch=branch, _name=name):
+            counts[_name] += 1
+            return _branch(*args)
+
+        monkeypatch.setattr(special_functions, name, counted)
+    return counts
+
+
+class TestIntegerExpIntegral:
+    """e^t E1(t) = man 2^exp from ei_exp_scaled(t, prec), against mpmath."""
+
+    def test_constants_are_mpmath_values_rounded(self):
+        bits = special_functions._CONST_BITS
+        with mpmath.workprec(bits + 64):
+
+            def fixed(x):
+                return int(mpmath.nint(mpmath.ldexp(x, bits)))
+
+            assert special_functions._EULER_GAMMA == fixed(mpmath.euler)
+            assert special_functions._LN2 == fixed(mpmath.log(2))
+            assert special_functions._LN_1P_J32 == tuple(
+                fixed(mpmath.log(1 + mpmath.mpf(j) / 32)) for j in range(32)
+            )
+
+    def test_within_prec_on_both_branches(self, branches):
+        rng = random.Random("ei/both-branches")
+        # t over the whole float range, and over the range of the crossover
+        ts = [2.0 ** rng.uniform(-1074.0, 996.0) for _ in range(60)]
+        ts += [2.0 ** rng.uniform(-12.0, 8.0) for _ in range(60)]
+        for t in ts:
+            # below t = 8 the series fits prec <= 960 in its 1013 bits; at
+            # t >= 8 the fraction needs under 4096 steps for prec <= 1000
+            prec = rng.randint(53, 1000 if t >= 8.0 else 960)
+            assert _units_off(*ei_exp_scaled(t, prec), t, prec) < 1, (t, prec)
+        assert branches["_e1_series"] >= 30 and branches["_e1_cf"] >= 30
+
+    @pytest.mark.parametrize("prec", [53, 64, 80, 160, 347, 700])
+    def test_both_sides_of_the_crossover(self, branches, prec):
+        crossover = prec / 5.0 - 3.0
+        below, above = crossover * (1 - 1e-9), crossover * (1 + 1e-9)
+        for t, branch in ((below, "_e1_series"), (above, "_e1_cf")):
+            branches.clear()
+            assert _units_off(*ei_exp_scaled(t, prec), t, prec) < 1, (t, prec)
+            assert list(branches) == [branch]
+
+    @pytest.mark.parametrize("t, prec", [(1e30, 2**12), (1e60, 2**14), (2.0**300, 2**16)])
+    def test_continued_fraction_at_many_bits(self, branches, t, prec):
+        assert _units_off(*ei_exp_scaled(t, prec), t, prec) < 1
+        assert list(branches) == ["_e1_cf"]
+
+    @pytest.mark.parametrize("t, prec", [(1e-6, 2000), (3.7, 1000)])
+    def test_beyond_both_branches_is_a_value_error(self, t, prec):
+        with pytest.raises(ValueError, match="continued fraction more than 4096 steps"):
+            ei_exp_scaled(t, prec)
 
 
 class TestIdentities:
