@@ -544,6 +544,32 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert out.strip().splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv, exact_route",
+    [
+        (["coeffs", "-m", "4", "-n", "4"], False),
+        (["render", "-m", "4", "-n", "6"], False),
+        (["mc", "-m", "2", "-n", "4", "--t", "1", "--samples", "2000"], False),
+        (["eval", "-m", "4", "-n", "4", "--t", "1", "--quadrature"], False),
+        # the Stieltjes route takes t = 10, the exact route (and so Ei) 0.01
+        (["eval", "-m", "4", "-n", "4", "--t", "10"], False),
+        (["eval", "-m", "4", "-n", "4", "--t", "0.01"], True),
+    ],
+)
+def test_mpmath_loads_only_for_the_exact_route(argv, exact_route):
+    """Only the exact route calls Ei, and even it loads no mpmath: Ei is
+    computed in-house."""
+    out = _fresh(
+        "import sys, mimo_mi.cli as cli, mimo_mi.evaluator as ev\n"
+        "calls = []\n"
+        "ei = ev.ei_exp_scaled\n"
+        "ev.ei_exp_scaled = lambda *a: calls.append(a) or ei(*a)\n"
+        f"assert cli.run({argv!r}) == 0\n"
+        "print(bool(calls), 'mpmath' in sys.modules)"
+    )
+    assert out.strip().splitlines()[-1] == f"{exact_route} False"
+
+
 # One call of every command, each route of eval among them: the
 # Stieltjes route takes t = 10, the exact route (and so Ei) t = 0.01.
 _EVERY_COMMAND = (
