@@ -331,28 +331,28 @@ def _help_formatter():
     return functools.partial(argparse.HelpFormatter, width=width)
 
 
-def _build_parser(command: str | None) -> _Parser:
-    """The parser with only `command`'s subparser, or with all of them
-    when `command` names none (no arguments, -h, an unknown name).
+def _build_parser() -> _Parser:
+    """The full parser, with every command's subparser.
 
-    Building one subparser instead of six is most of a short request's
-    parse time.  Every message the one-command parser can print matches
-    the full parser's, since its top-level usage line still lists every
-    command.
+    run() builds it only where no single command applies: no arguments,
+    -h, an unknown command, or arguments the named command leaves over.
     """
     formatter = _help_formatter()
     parser = _Parser(prog="mimo-mi", description=__doc__, formatter_class=formatter)
-    if command in _COMMANDS:
-        names = [command]
-        # only the usage line needs the full list: argv[0] already
-        # chose, so no error can name this positional
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-    else:
-        names, metavar = list(_COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
+    return parser
+
+
+def _command_parser(name: str) -> _Parser:
+    """`name`'s parser on its own, as the full parser's subparser for it.
+
+    Building one parser instead of seven is most of a short request's
+    parse time.
+    """
+    parser = _Parser(prog=f"mimo-mi {name}", formatter_class=_help_formatter())
+    _COMMANDS[name][1](parser)
     return parser
 
 
@@ -375,9 +375,16 @@ def _join_negative_grid(argv: list[str]) -> list[str]:
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
+    argv = _join_negative_grid(argv)
     try:
-        args = parser.parse_args(_join_negative_grid(argv))
+        if argv and argv[0] in _COMMANDS:
+            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                # as the full parser reports them, under its usage line
+                _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -221,9 +221,16 @@ def _exact(table: CoefficientTable, t: float, lower: float) -> tuple[float, floa
     num_b, den_b = _horner(table.b_num, p, q)
     den = table.denominator * den_b
     num = num_a * (den_b // den_a)
-    # |A| < 2^bits_a and |B|/t < 2^bits_b, while lower >= 2^bits_lower
+    # |A| < 2^bits_a and |B| e^t E1(t) < 2^bits_b, while lower >= 2^bits_lower.
+    # e^t E1(t) < 1/t < 2^ln2_bound, and below t = 1 also
+    # e^t E1(t) < ln(1 + 1/t) < ln 2 - ln t (Abramowitz & Stegun 5.1.20),
+    # whose exponent gets a bit to spare for its rounding; above 1 that
+    # difference would cancel.
+    ln2_bound = 1 - math.frexp(t)[1]
+    if t < 1.0:
+        ln2_bound = min(ln2_bound, math.frexp(math.log(2.0) - math.log(t))[1] + 1)
+    bits_b = num_b.bit_length() - den.bit_length() + 1 + ln2_bound
     bits_a = num.bit_length() - den.bit_length() + 1
-    bits_b = num_b.bit_length() - den.bit_length() + 2 - math.frexp(t)[1]
     bits_lower = math.frexp(lower)[1] - 1
     prec = _EXACT_BITS + max(0, bits_a - bits_lower, bits_b - bits_lower)
     if prec > _MAX_EXACT_BITS:
@@ -232,7 +239,7 @@ def _exact(table: CoefficientTable, t: float, lower: float) -> tuple[float, floa
             f"t={t} is too large for {m}x{n}: the closed form would need"
             f" {prec} bits (at most {_MAX_EXACT_BITS})"
         )
-    # e^t Ei(-t) = -man 2^exp to within 2^-prec; e^t E1(t) < 1/t
+    # e^t Ei(-t) = -man 2^exp to within 2^-prec
     man, exp = ei_exp_scaled(t, prec)
     if exp >= 0:
         num -= (man * num_b) << exp

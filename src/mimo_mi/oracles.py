@@ -302,23 +302,32 @@ def _log_det_bidiagonal(d2, s2, t: float):
     return total
 
 
-def _mc_chunk(dims: ChannelDims, t: float, count: int, seed: int, chunk: int):
-    """(count, mean, sum of squared deviations) for one deterministic chunk.
+def _mc_chunk(
+    dims: ChannelDims, t: float, count: int, seed: int, chunk: int, scale: int = 0
+):
+    """(count, mean, sum of squared deviations) of 2^scale times
+    ln det(I + H H*/t) over one deterministic chunk of samples.
 
-    Each chunk owns a counter-based Philox stream keyed by (seed, chunk
-    index), so results do not depend on scheduling.  Samples come from the
+    Chunk c draws from its own PCG64DXSM stream (O'Neill, "PCG: a family
+    of simple fast space-efficient statistically good algorithms for
+    random number generation", 2014) seeded by SeedSequence(seed,
+    spawn_key=(c,)), so the chunks of one seed draw independent streams
+    and results do not depend on scheduling.  Samples come from the
     bidiagonal Laguerre model (Dumitriu & Edelman, "Matrix models for beta
     ensembles", J. Math. Phys. 43, 2002): for beta = 2 the eigenvalues of
     H H* are distributed as those of B B^T, where B is lower bidiagonal
     with B[i, i]^2 ~ Gamma(n - i) and B[i, i-1]^2 ~ Gamma(m - i), all
     independent (chi^2_2k / 2 = Gamma(k) carries the unit entry variance).
     Each sample costs 2m - 1 gamma draws and an O(m) pivot recurrence.
-    Samples are drawn and reduced in blocks of _MC_BLOCK.
+    Samples are drawn and reduced in blocks of _MC_BLOCK.  The exact
+    factor 2^scale keeps the squared deviations clear of underflow where
+    ln det is tiny (large t).
     """
     import numpy as np
 
     m, n = dims.m, dims.n
-    gen = np.random.Generator(np.random.Philox(key=(chunk << 64) | seed))
+    stream = np.random.SeedSequence(seed, spawn_key=(chunk,))
+    gen = np.random.Generator(np.random.PCG64DXSM(stream))
     blocks = []
     for start in range(0, count, _MC_BLOCK):
         size = min(_MC_BLOCK, count - start)
@@ -331,7 +340,7 @@ def _mc_chunk(dims: ChannelDims, t: float, count: int, seed: int, chunk: int):
         # At t <~ 1e-307, d2/t overflows; monte_carlo_mi rejects the
         # resulting inf or nan, so numpy need not warn about it.
         with np.errstate(all="ignore"):
-            mi = _log_det_bidiagonal(d2, s2, t)
+            mi = np.ldexp(_log_det_bidiagonal(d2, s2, t), scale)
             mean = float(np.mean(mi))
             blocks.append((size, mean, float(np.sum((mi - mean) ** 2))))
     return functools.reduce(_chan_merge, blocks)
@@ -365,13 +374,20 @@ def monte_carlo_mi(
         raise ValueError("seed must fit in 64 bits")
     base, rem = divmod(samples, workers)
     counts = [base + 1 if c < rem else base for c in range(workers)]
+    # ln det(I + H H*/t) ~ tr(H H*)/t at large t, whose squared deviations
+    # would underflow: reduce 2^scale times it, with 2^scale ~ t.
+    scale = max(0, math.frexp(t)[1])
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         stats = list(
-            pool.map(lambda c: _mc_chunk(dims, t, counts[c], seed, c), range(workers))
+            pool.map(
+                lambda c: _mc_chunk(dims, t, counts[c], seed, c, scale),
+                range(workers),
+            )
         )
     # Chan's pairwise combination, applied left to right in chunk order.
     n_tot, mean, m2 = functools.reduce(_chan_merge, stats)
-    std_error = math.sqrt(m2 / (n_tot - 1) / n_tot)
+    mean = math.ldexp(mean, -scale)
+    std_error = math.ldexp(math.sqrt(m2 / (n_tot - 1) / n_tot), -scale)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise ValueError(
             f"Monte Carlo at t={t} gave mean={mean}, std_error={std_error}: "

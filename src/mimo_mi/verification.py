@@ -173,6 +173,11 @@ def check_lnt_identity() -> CheckResult:
     )
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"need a finite rel_tol > 0, got {rel_tol}")
+
+
 def check_three_way(
     rel_tol: float = 1e-8,
     mc_samples: int = 200_000,
@@ -185,8 +190,10 @@ def check_three_way(
     The default grid is every m <= 4 with m <= n <= m + 3.  The detail
     gives the largest relative difference between the closed form and the
     quadrature, and how far Monte Carlo strays from the closed form, each
-    with the point where it occurs.
+    with the point where it occurs.  Raises ValueError unless rel_tol is
+    finite and positive.
     """
+    _check_rel_tol(rel_tol)
     if dims is None:
         dims = [ChannelDims(m, n) for m in range(1, 5) for n in range(m, m + 4)]
     worst_quad = (0.0, "")
@@ -216,6 +223,7 @@ def check_three_way(
 def run_all(
     rel_tol: float = 1e-8, mc_samples: int = 200_000, seed: int = 20240817
 ) -> list[CheckResult]:
+    _check_rel_tol(rel_tol)  # before the checks that do not use it
     return [
         check_reference_expressions(),
         check_orthogonality(),

@@ -182,6 +182,14 @@ class TestEvalSweep:
         assert out == ""
         assert err == "mimo-mi: quadrature failure: integrand not finite on [0.0, inf]\n"
 
+    def test_eval_tiny_t(self, capsys):
+        # -gamma - ln t; the closed form used to need 1,139 bits of Ei here
+        code, out, _ = invoke(
+            capsys, "eval", "-m", "1", "-n", "1", "--t", "5e-324", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)[0]["mi_nats"] == 743.8628562564797
+
     def test_negative_grid_after_space(self, capsys):
         base = ("sweep", "-m", "8", "-n", "8", "--format", "csv")
         code, spaced, _ = invoke(capsys, *base, "--snr-db", "-10:40:0.25")
@@ -244,6 +252,12 @@ class TestLimits:
             # ln det(I + H H*/t) overflows: nan, then inf, mean
             ("mc", "-m", "4", "-n", "6", "--t", "1e-307", "--samples", "200000"),
             ("mc", "-m", "4", "-n", "6", "--t", "1e-320", "--samples", "100"),
+            # a tolerance no check can be held to; the whole suite fails fast
+            ("verify", "-m", "2", "-n", "2", "--t", "1", "--rel-tol", "nan"),
+            ("verify", "-m", "2", "-n", "2", "--t", "1", "--rel-tol", "-1"),
+            ("verify", "-m", "2", "-n", "2", "--t", "1", "--rel-tol", "0"),
+            ("verify", "-m", "2", "-n", "2", "--t", "1", "--rel-tol", "inf"),
+            ("verify", "--rel-tol", "nan"),
         ],
     )
     def test_hostile_input_exit_1(self, capsys, argv):
@@ -251,6 +265,13 @@ class TestLimits:
         assert code == 1
         assert out == ""
         assert err.startswith("mimo-mi: error: ")
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_three_way_rel_tol_is_a_value_error(self, rel_tol):
+        from mimo_mi.verification import check_three_way
+
+        with pytest.raises(ValueError, match="need a finite rel_tol > 0"):
+            check_three_way(rel_tol=rel_tol, dims=[ChannelDims(1, 1)], ts=(1.0,))
 
     @pytest.mark.parametrize("command", ["coeffs", "render", "eval"])
     def test_dims_cap_exit_1(self, capsys, command):
@@ -427,6 +448,15 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
+    def test_huge_t_gives_a_verdict(self, capsys):
+        # the Monte Carlo std_error underflowed to 0.0 here, and the sigma
+        # it divides was a ZeroDivisionError
+        code, out, err = invoke(
+            capsys, "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000"
+        )
+        assert code in (0, 2)
+        assert "three-way agreement" in out and err == ""
+
     def test_usage_error_exit_1(self, capsys):
         code, _, err = invoke(capsys, "verify", "-m", "2")
         assert code == 1
@@ -447,9 +477,25 @@ _VALID_CALLS = {
 }
 
 
+def _run_full_parser(argv):
+    """run(argv) as if it parsed with the parser of every command."""
+    try:
+        args = cli._build_parser().parse_args(cli._join_negative_grid(list(argv)))
+        return cli._COMMANDS[args.command][2](args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    except ValueError as exc:
+        print(f"mimo-mi: error: {exc}", file=sys.stderr)
+        return 1
+
+
+# The progs of the parsers the full parser is built from, in order.
+_FULL_PARSER = ["mimo-mi", *(f"mimo-mi {name}" for name in cli._COMMANDS)]
+
+
 class TestParser:
-    """run() builds only the subparser argv[0] names, and that must not
-    show in any output."""
+    """run() builds only the parser argv[0] names, and that must not show
+    in any output."""
 
     @pytest.mark.parametrize("command", list(_VALID_CALLS))
     @pytest.mark.parametrize(
@@ -460,6 +506,8 @@ class TestParser:
             ("-m",),
             ("-m", "2", "-n", "2", "--format", "xml"),
             ("-m", "2", "-n", "2", "--t", "1", "stray"),  # top-level usage line
+            ("stray", "--other", "-m", "2", "-n", "2", "--t", "1"),
+            ("-m", "2", "-n", "2", "--snr-db", "-10:10:5"),
             "valid",
         ],
     )
@@ -467,32 +515,39 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         argv = [command, *(_VALID_CALLS[command] if case == "valid" else case)]
         one = invoke(capsys, *argv)
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command: build(None))
-        assert invoke(capsys, *argv) == one
+        code = _run_full_parser(argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == one
 
     @pytest.mark.parametrize(
         "argv, built",
         [
             (("eval", "-m", "2", "-n", "2", "--t", "1"), 1),
             (("verify", "-h"), 1),
+            # the full parser, with all six command parsers
             (("frobnicate",), 6),
             (("-h",), 6),
             ((), 6),
+            # coeffs's parser, then the full one to report the stray "x"
+            (("coeffs", "-m", "2", "-n", "2", "x"), 7),
         ],
     )
     def test_builds_only_the_named_subparser(self, capsys, monkeypatch, argv, built):
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
+        """`built` counts the command parsers that run() builds."""
+        progs = []
+        init = cli._Parser.__init__
 
-        def counting(self, name, **kwargs):
-            names.append(name)
-            return add_parser(self, name, **kwargs)
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs["prog"])
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
         invoke(capsys, *argv)
-        assert len(names) == built
-
+        assert len([p for p in progs if p != "mimo-mi"]) == built
+        if built == 1:
+            assert progs == [f"mimo-mi {argv[0]}"]
+        else:
+            assert progs[-len(_FULL_PARSER) :] == _FULL_PARSER
 
     @pytest.mark.parametrize("columns", [None, "50", "200"])
     @pytest.mark.parametrize("command", [None, *_VALID_CALLS])

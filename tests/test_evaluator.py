@@ -230,6 +230,18 @@ class TestAccuracy:
             # a bound rounded up to two significant digits
             assert float(f"{r.err_estimate:.1e}") == r.err_estimate, (t, r)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (4, 4), (16, 32)])
+    def test_tiny_t(self, m, n):
+        # e^t E1(t) < 1/t asked Ei for about log2(1/t) bits, which it refused
+        # below t ~ 1e-276
+        table = build_table(ChannelDims(m, n))
+        for t in (5e-324, 1e-320, 1e-280, 1e-100):
+            r = evaluate_closed_form(table, t)
+            ref = _reference(table, t)
+            with mpmath.workdps(30):
+                actual = abs(mpmath.mpf(r.value) - ref)
+            assert actual <= r.err_estimate < abs(r.value), (t, r)
+
     def test_6x9_at_t300(self):
         # the float combination of the parent returned 0.0 here
         r = evaluate_closed_form(build_table(ChannelDims(6, 9)), 300.0)

@@ -275,6 +275,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="mean=inf"):
             monte_carlo_mi(d, 1e-320, 1000)
 
+    def test_golden_report(self):
+        # pins the PCG64DXSM streams: a change of stream must be deliberate
+        rep = monte_carlo_mi(ChannelDims(2, 2), 1.0, 10_000, seed=42, workers=4)
+        assert (rep.mean, rep.std_error) == (1.785188390008108, 0.0055079406637351756)
+
+    def test_std_error_scales_with_t(self):
+        # ln det(I + H H*/t) ~ tr(H H*)/t: unscaled, its squared deviations
+        # underflow past t ~ 1e154 and std_error came out 0.0 at 1e170
+        ref = monte_carlo_mi(ChannelDims(2, 2), 1e100, 10_000, seed=8, workers=2)
+        rep = monte_carlo_mi(ChannelDims(2, 2), 1e200, 10_000, seed=8, workers=2)
+        assert 1e200 * rep.std_error == pytest.approx(1e100 * ref.std_error, rel=1e-6)
+        assert 1e200 * rep.mean == pytest.approx(1e100 * ref.mean, rel=1e-6)
+
     def test_unit_variance_entries(self):
         # at huge t, ln det(I + H H*/t) ~ tr(H H*)/t, so t * mean estimates
         # E tr(H H*) = m n and checks that the bidiagonal model's gamma
