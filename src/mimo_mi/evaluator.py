@@ -222,15 +222,14 @@ def _exact(table: CoefficientTable, t: float, lower: float) -> tuple[float, floa
     den = table.denominator * den_b
     num = num_a * (den_b // den_a)
     # |A| < 2^bits_a and |B| e^t E1(t) < 2^bits_b, while lower >= 2^bits_lower.
-    # e^t E1(t) < 1/t < 2^ln2_bound, and below t = 1 also
-    # e^t E1(t) < ln(1 + 1/t) < ln 2 - ln t (Abramowitz & Stegun 5.1.20),
-    # whose exponent gets a bit to spare for its rounding; above 1 that
-    # difference would cancel.
-    ln2_bound = 1 - math.frexp(t)[1]
+    # e^t E1(t) < 1/t <= 2^e1_bits, and below t = 1 also e^t E1(t) <
+    # ln(1 + 1/t) < ln 2 - ln t (Abramowitz & Stegun 5.1.20), whose exponent
+    # gets a bit to spare for its rounding; above 1 the difference cancels.
+    e1_bits = 1 - math.frexp(t)[1]
     if t < 1.0:
-        ln2_bound = min(ln2_bound, math.frexp(math.log(2.0) - math.log(t))[1] + 1)
-    bits_b = num_b.bit_length() - den.bit_length() + 1 + ln2_bound
+        e1_bits = min(e1_bits, math.frexp(math.log(2.0) - math.log(t))[1] + 1)
     bits_a = num.bit_length() - den.bit_length() + 1
+    bits_b = num_b.bit_length() - den.bit_length() + 1 + e1_bits
     bits_lower = math.frexp(lower)[1] - 1
     prec = _EXACT_BITS + max(0, bits_a - bits_lower, bits_b - bits_lower)
     if prec > _MAX_EXACT_BITS:
