@@ -452,7 +452,8 @@ class TestVerify:
         # the Monte Carlo std_error underflowed to 0.0 here, and the sigma
         # it divides was a ZeroDivisionError
         code, out, err = invoke(
-            capsys, "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000"
+            capsys,
+            "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000",
         )
         assert code in (0, 2)
         assert "three-way agreement" in out and err == ""
