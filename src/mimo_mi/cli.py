@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -160,22 +159,21 @@ def _format_results(results, fmt: str) -> str:
 
 def _cmd_coeffs(args) -> int:
     table = build_table(ChannelDims(args.m, args.n))
-    _check_str_digits(
-        table.dims, (x for c in table.a + table.b for x in c.as_integer_ratio())
-    )
+    a, b = table.a, table.b
+    _check_str_digits(table.dims, (x for c in a + b for x in c.as_integer_ratio()))
     if args.format == "json":
         text = table.to_json()
     elif args.format == "csv":
         rows = ["k,a,b"]
-        for k in range(len(table.b)):
-            a_k = str(table.a[k]) if k < len(table.a) else ""
-            rows.append(f"{k},{a_k},{table.b[k]}")
+        for k in range(len(b)):
+            a_k = str(a[k]) if k < len(a) else ""
+            rows.append(f"{k},{a_k},{b[k]}")
         text = "\n".join(rows)
     else:
         text = (
             f"dims: m={table.dims.m} n={table.dims.n}\n"
-            f"a: {' '.join(str(x) for x in table.a)}\n"
-            f"b: {' '.join(str(x) for x in table.b)}"
+            f"a: {' '.join(str(x) for x in a)}\n"
+            f"b: {' '.join(str(x) for x in b)}"
         )
     _emit(text, args.output)
     return 0
@@ -186,6 +184,8 @@ def _cmd_render(args) -> int:
     _check_str_digits(table.dims, (table.denominator, *table.a_num, *table.b_num))
     expr = render_expression(table)
     if args.format == "json":
+        import json
+
         text = json.dumps(
             {"m": table.dims.m, "n": table.dims.n, "expression": expr}
         )

@@ -14,13 +14,12 @@ bad idea.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 # Largest table build_table builds, in units of its work estimate
 # (n+m-2) ((n+m-2)^2 + m^3): the final gcd and division grow as the
@@ -29,8 +28,12 @@ from itertools import accumulate
 _MAX_BUILD_WORK = 14 * 10**10
 
 
-@dataclass(frozen=True)
-class ChannelDims:
+class _Dims(NamedTuple):
+    m: int
+    n: int
+
+
+class ChannelDims(_Dims):
     """Validated antenna pair, stored with m <= n.
 
     Arguments may come in either order: ln det(I_m + H H*/t) equals
@@ -38,16 +41,17 @@ class ChannelDims:
     information as an (m, n) one and we silently swap.
     """
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        m, n = self.m, self.n
+    def __new__(cls, m: int, n: int):
         if m < 1 or n < 1:
             raise ValueError(f"antenna counts must be >= 1, got ({m}, {n})")
-        if m > n:
-            object.__setattr__(self, "m", n)
-            object.__setattr__(self, "n", m)
+        return super().__new__(cls, min(m, n), max(m, n))
+
+    @classmethod
+    def _make(cls, iterable):
+        # as _replace builds its result: validated and ordered, too
+        return cls(*iterable)
 
 
 def _c_scaled(i: int, j: int, m: int, n: int) -> int:
@@ -105,8 +109,7 @@ def _column_sums(dims: ChannelDims) -> tuple[list[int], int]:
     return nums, den
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Full exact coefficient set for one channel dimension pair, as
     integers over one common denominator in lowest terms:
     a_k = a_num[k] / denominator and b_k = b_num[k] / denominator.
@@ -120,15 +123,17 @@ class CoefficientTable:
     a_num: tuple[int, ...]
     b_num: tuple[int, ...]
 
-    @cached_property
+    @property
     def a(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.denominator) for x in self.a_num)
 
-    @cached_property
+    @property
     def b(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.denominator) for x in self.b_num)
 
     def to_json(self) -> str:
+        import json
+
         a, b = [str(x) for x in self.a], [str(x) for x in self.b]
         return json.dumps({"m": self.dims.m, "n": self.dims.n, "a": a, "b": b})
 

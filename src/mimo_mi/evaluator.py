@@ -26,9 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import io
-import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from ._gauss_laguerre import NODES, WEIGHTS
@@ -65,8 +63,7 @@ class GridMode(str, enum.Enum):
     INVERSE_SNR = "t"
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     """One E[I] value in nats at inverse SNR t, with provenance."""
 
     dims: ChannelDims
@@ -373,5 +370,31 @@ def results_to_csv(results: Iterable[EvaluationResult]) -> str:
     return buf.getvalue()
 
 
+def _json_number(x: float) -> str:
+    """x as json.dumps writes an int or a float."""
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
 def results_to_json(results: Iterable[EvaluationResult]) -> str:
-    return json.dumps([r.as_dict() for r in results], indent=2)
+    """The bytes of json.dumps([r.as_dict() for r in results], indent=2),
+    formatted directly: indent selects json's pure-Python encoder, which
+    takes as long per row as computing the row."""
+    rows = []
+    for r in results:
+        d = r.as_dict()
+        rows.append(
+            f'  {{\n    "m": {_json_number(d["m"])},\n'
+            f'    "n": {_json_number(d["n"])},\n'
+            f'    "snr_db": {_json_number(d["snr_db"])},\n'
+            f'    "t": {_json_number(d["t"])},\n'
+            f'    "mi_nats": {_json_number(d["mi_nats"])},\n'
+            f'    "method": "{d["method"]}",\n'
+            f'    "err_estimate": {_json_number(d["err_estimate"])}\n  }}'
+        )
+    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"

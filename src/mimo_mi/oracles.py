@@ -12,11 +12,10 @@ the log-term cancellation identity that the derivation rests on.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import ChannelDims, coeff_c
 from .evaluator import EvaluationResult, Method
@@ -221,20 +220,24 @@ def telatar_quadrature(dims: ChannelDims, t: float) -> EvaluationResult:
     _check_t(t)
     import numpy as np
 
-    m, alpha = dims.m, dims.n - dims.m
+    m, n, alpha = dims.m, dims.n, dims.n - dims.m
 
     def integrand(lam):
         kernel = _weighted_kernel(m, alpha, lam, _root_weight(alpha, lam))
         return np.log1p(lam / t) * kernel
 
-    value, err = _quad(integrand, 0.0, math.inf)
+    # E[I] >= mn / (t + (m+n)/2) by Jensen's inequality.  Where that bound
+    # is below 1e-3, abs_tol shrinks with it, so that a small E[I] (large
+    # t) is still integrated to a relative tolerance.
+    lower = m * n / (t + (m + n) / 2.0)
+    abs_tol = 1e-13 * min(1.0, 1e3 * lower)
+    value, err = _quad(integrand, 0.0, math.inf, 1e-12, abs_tol)
     return EvaluationResult(
         dims=dims, t=t, value=value, method=Method.QUADRATURE, err_estimate=err
     )
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(NamedTuple):
     """Monte Carlo estimate of E[I]; deterministic for fixed
     (seed, samples, workers)."""
 
@@ -247,6 +250,8 @@ class McReport:
     worker_count: int
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "m": self.dims.m,
@@ -261,9 +266,12 @@ class McReport:
         )
 
 
-# Samples drawn and reduced at once inside a chunk, so that a chunk's
-# memory stays bounded whatever its sample count.
+# Most samples drawn and reduced at once inside a chunk.  Each sample takes
+# 2m - 1 float64 draws, so for m > 16 a block shrinks to keep m x block at
+# most _MC_BLOCK_DRAWS: a chunk's memory stays bounded whatever its sample
+# count and m.
 _MC_BLOCK = 2**16
+_MC_BLOCK_DRAWS = 2**20
 # Most chunks (`workers`) one call may split its samples into: each chunk
 # is a list entry and a future, built before any sample is drawn.
 _MC_MAX_WORKERS = 1024
@@ -319,28 +327,30 @@ def _mc_chunk(
     with B[i, i]^2 ~ Gamma(n - i) and B[i, i-1]^2 ~ Gamma(m - i), all
     independent (chi^2_2k / 2 = Gamma(k) carries the unit entry variance).
     Each sample costs 2m - 1 gamma draws and an O(m) pivot recurrence.
-    Samples are drawn and reduced in blocks of _MC_BLOCK.  The exact
-    factor 2^scale keeps the squared deviations clear of underflow where
-    ln det is tiny (large t).
+    Samples are drawn and reduced in blocks of _MC_BLOCK, fewer for m > 16
+    (see _MC_BLOCK_DRAWS).  The exact factor 2^scale keeps the squared
+    deviations clear of underflow where ln det is tiny (large t).
     """
     import numpy as np
 
     m, n = dims.m, dims.n
     stream = np.random.SeedSequence(seed, spawn_key=(chunk,))
     gen = np.random.Generator(np.random.PCG64DXSM(stream))
+    block = min(_MC_BLOCK, max(1, _MC_BLOCK_DRAWS // m), count)
+    # every block reuses these, so that no two blocks' draws are held at once
+    d2 = np.empty((m, block))
+    s2 = np.empty((m - 1, block))
     blocks = []
-    for start in range(0, count, _MC_BLOCK):
-        size = min(_MC_BLOCK, count - start)
-        d2 = np.empty((m, size))
-        s2 = np.empty((m - 1, size))
+    for start in range(0, count, block):
+        size = min(block, count - start)
         for i in range(m):
-            d2[i] = gen.standard_gamma(n - i, size)
+            d2[i, :size] = gen.standard_gamma(n - i, size)
         for i in range(m - 1):
-            s2[i] = gen.standard_gamma(m - 1 - i, size)
+            s2[i, :size] = gen.standard_gamma(m - 1 - i, size)
         # At t <~ 1e-307, d2/t overflows; monte_carlo_mi rejects the
         # resulting inf or nan, so numpy need not warn about it.
         with np.errstate(all="ignore"):
-            mi = np.ldexp(_log_det_bidiagonal(d2, s2, t), scale)
+            mi = np.ldexp(_log_det_bidiagonal(d2[:, :size], s2[:, :size], t), scale)
             mean = float(np.mean(mi))
             blocks.append((size, mean, float(np.sum((mi - mean) ** 2))))
     return functools.reduce(_chan_merge, blocks)

@@ -8,7 +8,7 @@ command and the acceptance test suite are thin wrappers around these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import ChannelDims, build_table
 from .evaluator import evaluate_closed_form, render_expression
@@ -51,8 +51,7 @@ _MC_SIGMA = 4.0
 _MC_WORKERS = 4
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

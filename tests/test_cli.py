@@ -458,6 +458,15 @@ class TestVerify:
         assert code in (0, 2)
         assert "three-way agreement" in out and err == ""
 
+    def test_huge_t_passes(self, capsys):
+        # the quadrature oracle was 1.4e-4 off here, and the check failed
+        code, out, err = invoke(
+            capsys,
+            "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS  three-way agreement")
+
     def test_usage_error_exit_1(self, capsys):
         code, _, err = invoke(capsys, "verify", "-m", "2")
         assert code == 1
@@ -648,6 +657,61 @@ def test_no_command_loads_mpmath():
         f"for argv in {_EVERY_COMMAND!r}:\n"
         "    assert cli.run(argv) == 0, argv\n"
         "    if 'mpmath' in sys.modules:\n"
+        "        loaded_by.append(argv[0])\n"
+        "print(loaded_by)"
+    )
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+# What the standard library's dataclasses and json bring in: dataclasses
+# loads inspect, and through it ast, dis and tokenize.
+_RECORD_MODULES = ("dataclasses", "inspect")
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    out = _fresh(
+        "import sys, mimo_mi.cli\n"
+        f"print([m for m in {_RECORD_MODULES + ('json',)!r} if m in sys.modules])"
+    )
+    assert out.strip() == "[]"
+
+
+def test_closed_form_commands_load_no_dataclasses_or_inspect():
+    """eval and sweep print JSON without the json module, in every format;
+    coeffs and render import json only for --format json."""
+    cases = [
+        (argv + ["--format", fmt], _RECORD_MODULES + ("json",))
+        for argv in (
+            ["eval", "-m", "4", "-n", "4", "--t", "10", "0.01"],
+            ["sweep", "-m", "2", "-n", "3", "--snr-db", "-10:40:5"],
+        )
+        for fmt in ("csv", "json", "text")
+    ] + [
+        ([command, "-m", "4", "-n", "6", "--format", fmt], _RECORD_MODULES)
+        for command in ("coeffs", "render")
+        for fmt in ("csv", "text", "json")
+    ]
+    out = _fresh(
+        "import sys, mimo_mi.cli as cli\n"
+        "loaded_by = []\n"
+        f"for argv, modules in {cases!r}:\n"
+        "    assert cli.run(argv) == 0, argv\n"
+        "    loaded = [m for m in modules if m in sys.modules]\n"
+        "    if loaded:\n"
+        "        loaded_by.append((argv[0], argv[-1], loaded))\n"
+        "print(loaded_by)"
+    )
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_no_command_loads_dataclasses():
+    """numpy loads inspect for the oracles, but nothing loads dataclasses."""
+    out = _fresh(
+        "import sys, mimo_mi.cli as cli\n"
+        "loaded_by = []\n"
+        f"for argv in {_EVERY_COMMAND!r}:\n"
+        "    assert cli.run(argv) == 0, argv\n"
+        "    if 'dataclasses' in sys.modules:\n"
         "        loaded_by.append(argv[0])\n"
         "print(loaded_by)"
     )

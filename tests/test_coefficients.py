@@ -28,6 +28,36 @@ class TestChannelDims:
         with pytest.raises(ValueError):
             ChannelDims(m, n)
 
+    def test_order_does_not_matter(self):
+        assert ChannelDims(5, 3) == ChannelDims(3, 5)
+        assert hash(ChannelDims(5, 3)) == hash(ChannelDims(3, 5))
+        assert ChannelDims(n=3, m=5) == ChannelDims(3, 5)
+
+    def test_replace_validates(self):
+        assert ChannelDims(2, 3)._replace(m=5) == ChannelDims(3, 5)
+        with pytest.raises(ValueError):
+            ChannelDims(2, 3)._replace(m=0)
+
+    def test_repr(self):
+        assert repr(ChannelDims(5, 3)) == "ChannelDims(m=3, n=5)"
+        assert repr(build_table(ChannelDims(2, 2))) == (
+            "CoefficientTable(dims=ChannelDims(m=2, n=2), denominator=1, "
+            "a_num=(1, -1), b_num=(-2, 0, -1))"
+        )
+
+    @pytest.mark.parametrize("field", ["m", "n", "extra"])
+    def test_immutable(self, field):
+        d = ChannelDims(2, 3)
+        with pytest.raises(AttributeError):
+            setattr(d, field, 7)
+        assert (d.m, d.n) == (2, 3)
+
+    def test_table_immutable(self):
+        t = build_table(ChannelDims(2, 2))
+        for field in ("dims", "denominator", "a_num", "b_num", "a", "b"):
+            with pytest.raises(AttributeError):
+                setattr(t, field, None)
+
 
 class TestCoeffC:
     def test_values_2x2(self):

@@ -298,3 +298,27 @@ class TestSerialization:
         assert data[0]["m"] == 2
         assert data[0]["mi_nats"] == rs[0].value
         assert data[0]["method"] == "closed_form"
+
+    def test_json_bytes_equal_json_dumps(self):
+        rng = random.Random(13)
+        rs = []
+        for _ in range(6):
+            dims = ChannelDims(rng.randint(1, 6), rng.randint(1, 9))
+            table = build_table(dims)
+            ts = [10.0 ** rng.uniform(-3, 3), 1.0]
+            rs += [evaluate_closed_form(table, t) for t in ts + [5e-324, 1e300]]
+            rs += [telatar_quadrature(dims, t) for t in ts]
+        assert {r.method for r in rs} == set(Method)
+        for chosen in ([], rs[:1], rs):
+            want = json.dumps([r.as_dict() for r in chosen], indent=2)
+            assert results_to_json(chosen) == want
+
+    def test_json_spells_non_finite_floats_as_json_does(self):
+        r = evaluate_closed_form(build_table(ChannelDims(2, 2)), 1.0)
+        rs = [
+            r._replace(value=math.nan, err_estimate=math.inf),
+            r._replace(value=-math.inf, t=2),
+        ]
+        text = results_to_json(rs)
+        assert text == json.dumps([r.as_dict() for r in rs], indent=2)
+        assert '"mi_nats": NaN' in text and '"err_estimate": Infinity' in text

@@ -207,6 +207,19 @@ class TestTelatarQuadrature:
             with pytest.raises(ValueError, match="finite"):
                 telatar_quadrature(ChannelDims(2, 2), t)
 
+    @pytest.mark.parametrize(
+        "m,n,t",
+        [(2, 2, 1e12), (4, 6, 1e14), (4, 6, 1e16), (2, 2, 1e200), (1, 1, 1e307)],
+    )
+    def test_relative_accuracy_at_large_t(self, m, n, t):
+        # with a fixed abs_tol of 1e-13, 2x2 at t = 1e12 was 1.4e-4 off
+        # and 4x6 at t = 1e14 6.2% off, as E[I] ~ mn/t fell below it
+        d = ChannelDims(m, n)
+        exact = evaluate_closed_form(build_table(d), t).value
+        r = telatar_quadrature(d, t)
+        assert r.value == pytest.approx(exact, rel=1e-8)
+        assert r.err_estimate < 1e-6 * r.value
+
 
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -440,6 +453,34 @@ class TestBidiagonalSampler:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_chunk_memory_bounded_whatever_m(self):
+        # one block of all 2^15 samples of a 128 x 128 channel would hold
+        # 255 x 2^15 float64 draws (67 MB); d2 and s2 of a block hold at
+        # most 2 _MC_BLOCK_DRAWS, and every block reuses them
+        dims = ChannelDims(128, 128)
+        oracles._mc_chunk(ChannelDims(2, 2), 1.0, 1000, 1, 0)  # warm numpy up
+        tracemalloc.start()
+        try:
+            oracles._mc_chunk(dims, 1.0, 2**15, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 * 8 * oracles._MC_BLOCK_DRAWS
+
+    def test_block_is_full_size_up_to_m_16(self, monkeypatch):
+        sizes = []
+        log_det = oracles._log_det_bidiagonal
+
+        def recording(d2, s2, t):
+            sizes.append(d2.shape)
+            return log_det(d2, s2, t)
+
+        monkeypatch.setattr(oracles, "_log_det_bidiagonal", recording)
+        for m in (16, 17):
+            oracles._mc_chunk(ChannelDims(m, m), 1.0, oracles._MC_BLOCK, 1, 0)
+        assert sizes[0] == (16, oracles._MC_BLOCK)
+        assert sizes[1] == (17, oracles._MC_BLOCK_DRAWS // 17)
 
 
 class TestLemma1:
