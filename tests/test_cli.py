@@ -663,8 +663,8 @@ def test_no_command_loads_mpmath():
     assert out.strip().splitlines()[-1] == "[]"
 
 
-# What the standard library's dataclasses and json bring in: dataclasses
-# loads inspect, and through it ast, dis and tokenize.
+# dataclasses, and inspect, which it loads along with ast, dis and tokenize:
+# the record types need neither.
 _RECORD_MODULES = ("dataclasses", "inspect")
 
 
