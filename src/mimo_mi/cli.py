@@ -16,15 +16,15 @@ import re
 import shutil
 import stat
 import sys
+from typing import Iterable
 
-from .coefficients import ChannelDims, build_table
+from .coefficients import ChannelDims, _table_json, build_table
 from .evaluator import (
     GridMode,
+    _closed_form_rows,
+    _format_rows,
     _grid_to_ts,
     render_expression,
-    results_to_csv,
-    results_to_json,
-    sweep,
 )
 
 FORMAT_ENV_VAR = "MIMO_MI_FORMAT"
@@ -84,28 +84,30 @@ def _create_temp(directory: str) -> tuple[int, str]:
             continue
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write to stdout, or atomically to a file (temp + rename) so a
-    failure never leaves partial output behind.  A new file gets the
-    mode 0666 less the umask, and a replaced one keeps its mode.
-    Symlinks are followed, and a target that exists but is no regular
-    file (a FIFO, a device) is written in place.  A file that cannot be
-    written is a ValueError naming it."""
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks, which join to text that ends in a newline, to
+    stdout or to a file.  Stdout gets them joined, in one write once the
+    last has been computed, so a failure on the way prints nothing.  A
+    file gets each as it comes, in a temp file renamed over it at the
+    end, so a failure never leaves partial output behind and memory does
+    not grow with the output.  A new file gets the mode 0666 less the
+    umask, and a replaced one keeps its mode.  Symlinks are followed,
+    and a target that exists but is no regular file (a FIFO, a device)
+    is written in place.  A file that cannot be written is a ValueError
+    naming it."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(chunks))
         return
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             return
         target = os.path.realpath(path)
         fd, tmp = _create_temp(os.path.dirname(target))
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             if os.path.exists(target):
                 os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
@@ -144,25 +146,12 @@ def _resolve_grid(args) -> tuple[list[float], GridMode]:
     raise ValueError("one of --t or --snr-db is required")
 
 
-def _format_results(results, fmt: str) -> str:
-    if fmt == "csv":
-        return results_to_csv(results)
-    if fmt == "json":
-        return results_to_json(results)
-    lines = [
-        f"m={r.dims.m} n={r.dims.n} snr_db={r.snr_db:.6g} t={r.t!r} "
-        f"mi_nats={r.value!r} method={r.method.value} err<={r.err_estimate:.3e}"
-        for r in results
-    ]
-    return "\n".join(lines)
-
-
 def _cmd_coeffs(args) -> int:
     table = build_table(ChannelDims(args.m, args.n))
     a, b = table.a, table.b
     _check_str_digits(table.dims, (x for c in a + b for x in c.as_integer_ratio()))
     if args.format == "json":
-        text = table.to_json()
+        text = _table_json(table.dims, a, b)
     elif args.format == "csv":
         rows = ["k,a,b"]
         for k in range(len(b)):
@@ -175,7 +164,7 @@ def _cmd_coeffs(args) -> int:
             f"a: {' '.join(str(x) for x in a)}\n"
             f"b: {' '.join(str(x) for x in b)}"
         )
-    _emit(text, args.output)
+    _emit([text + "\n"], args.output)
     return 0
 
 
@@ -191,20 +180,20 @@ def _cmd_render(args) -> int:
         )
     else:
         text = expr
-    _emit(text, args.output)
+    _emit([text + "\n"], args.output)
     return 0
 
 
 def _cmd_eval_sweep(args) -> int:
     dims = ChannelDims(args.m, args.n)
-    grid, mode = _resolve_grid(args)
+    ts = _grid_to_ts(*_resolve_grid(args))
     if getattr(args, "quadrature", False):
         from .oracles import telatar_quadrature
 
-        results = [telatar_quadrature(dims, t) for t in _grid_to_ts(grid, mode)]
+        rows = (telatar_quadrature(dims, t) for t in ts)
     else:
-        results = sweep(dims, grid, mode)
-    _emit(_format_results(results, args.format), args.output)
+        rows = _closed_form_rows(build_table(dims), ts)
+    _emit(_format_rows(rows, args.format), args.output)
     return 0
 
 
@@ -230,7 +219,7 @@ def _cmd_mc(args) -> int:
             f"mean={report.mean!r} std_error={report.std_error!r} "
             f"seed={report.seed} workers={report.worker_count}"
         )
-    _emit(text, args.output)
+    _emit([text + "\n"], args.output)
     return 0
 
 
@@ -255,7 +244,7 @@ def _cmd_verify(args) -> int:
         results = run_all(
             rel_tol=args.rel_tol, mc_samples=args.mc_samples, seed=args.seed
         )
-    _emit("\n".join(r.line() for r in results), args.output)
+    _emit([r.line() + "\n" for r in results], args.output)
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -24,7 +24,9 @@ from typing import NamedTuple
 # Largest table build_table builds, in units of its work estimate
 # (n+m-2) ((n+m-2)^2 + m^3): the final gcd and division grow as the
 # first term, the column sums' binomials as the second.  1.4e11 units
-# take about 10 s on a 2-core Xeon (1x4800 8 s, 500x500 10 s).
+# took about 10 s on a 2-core Xeon (1x4800 8 s, 500x500 10 s) when each
+# binomial came from math.comb; stepped, 500x500 takes 1.1 s, so the m^3
+# term overstates square tables.
 _MAX_BUILD_WORK = 14 * 10**10
 
 
@@ -101,9 +103,16 @@ def _column_sums(dims: ChannelDims) -> tuple[list[int], int]:
     scale = math.factorial(m) * top  # m! (2m-2)! / i!, from i = 0
     nums = []
     for i in range(2 * m - 1):
-        row = sum(
-            _c_scaled(i, j, m, n) for j in range(max(0, i - m), min(i, m - 1) + 1)
-        )
+        # _c_scaled(i, j, m, n) for each j of the row: the product of the
+        # three binomials is stepped from j to j + 1 by its ratio, exactly
+        j = max(0, i - m)
+        binoms = math.comb(i, j) * math.comb(n, m - 1 - j) * math.comb(n + 1, m - i + j)
+        row = 0
+        for j in range(j, min(i, m - 1) + 1):
+            row += (2 * n * j + j - n * i + n - m + 1) * binoms
+            binoms = binoms * ((i - j) * (m - 1 - j) * (n + 1 - m + i - j)) // (
+                (j + 1) * (n - m + 2 + j) * (m - i + j + 1)
+            )
         nums.append((-1) ** i * scale * row)
         scale //= i + 1
     return nums, den
@@ -132,10 +141,15 @@ class CoefficientTable(NamedTuple):
         return tuple(Fraction(x, self.denominator) for x in self.b_num)
 
     def to_json(self) -> str:
-        import json
+        return _table_json(self.dims, self.a, self.b)
 
-        a, b = [str(x) for x in self.a], [str(x) for x in self.b]
-        return json.dumps({"m": self.dims.m, "n": self.dims.n, "a": a, "b": b})
+
+def _table_json(dims: ChannelDims, a, b) -> str:
+    """The JSON of the table with coefficients a and b, as Fractions."""
+    import json
+
+    a, b = [str(x) for x in a], [str(x) for x in b]
+    return json.dumps({"m": dims.m, "n": dims.n, "a": a, "b": b})
 
 
 @lru_cache(maxsize=None)

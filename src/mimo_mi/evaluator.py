@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import enum
 import functools
-import io
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._gauss_laguerre import NODES, WEIGHTS
 from .coefficients import ChannelDims, CoefficientTable, build_table
@@ -51,6 +50,12 @@ _EXACT_BITS = 64
 _MAX_EXACT_BITS = 2**16
 # ln (128!), for the largest term of L_128(-t)
 _LN_FACT_M = math.lgamma(len(NODES) + 1)
+# Each node as (p, e) with x_i = p / 2^e, and each weight as its integer
+# ratio, for the rule's exact Horner sums.
+_NODE_RATIOS = tuple(
+    (p, q.bit_length() - 1) for p, q in map(float.as_integer_ratio, NODES)
+)
+_WEIGHT_RATIOS = tuple(map(float.as_integer_ratio, WEIGHTS))
 
 
 class Method(str, enum.Enum):
@@ -61,6 +66,11 @@ class Method(str, enum.Enum):
 class GridMode(str, enum.Enum):
     SNR_DB = "snr_db"
     INVERSE_SNR = "t"
+
+
+def _snr_db(t: float) -> float:
+    # + 0.0 normalizes the negative zero at t = 1
+    return -10.0 * math.log10(t) + 0.0
 
 
 class EvaluationResult(NamedTuple):
@@ -74,8 +84,7 @@ class EvaluationResult(NamedTuple):
 
     @property
     def snr_db(self) -> float:
-        # + 0.0 normalizes the negative zero at t = 1
-        return -10.0 * math.log10(self.t) + 0.0
+        return _snr_db(self.t)
 
     def as_dict(self) -> dict:
         return {
@@ -138,13 +147,16 @@ def _stieltjes_rule(
             break
         tail += mass
         keep -= 1
-    # beta_k = -(-1)^k b_k
-    beta = [c if k % 2 else -c for k, c in enumerate(b_num)]
+    # beta_k = -(-1)^k b_k, highest degree first for Horner
+    beta = [c if k % 2 else -c for k, c in enumerate(b_num)][::-1]
     terms = []
-    for x, w in zip(NODES[:keep], WEIGHTS[:keep]):
-        num, den = _horner(beta, *x.as_integer_ratio())
-        w_num, w_den = w.as_integer_ratio()
-        terms.append(num * w_num / (den * w_den * denominator))
+    for (p, step), (w_num, w_den) in zip(_NODE_RATIOS[:keep], _WEIGHT_RATIOS):
+        # beta(x_i) = num / 2^shift exactly, as in _horner
+        num, shift = 0, 0
+        for c in beta:
+            shift += step
+            num = num * p + (c << shift)
+        terms.append(num * w_num / ((w_den * denominator) << shift))
     return _StieltjesRule(
         terms=tuple(terms),
         nodes=NODES[:keep],
@@ -257,24 +269,31 @@ def _round_up_2_digits(x: float) -> float:
     return float(f"{round(float(digits) * 10) + 1}e{int(exp) - 1}")
 
 
+def _closed_form_rows(
+    table: CoefficientTable, ts: Iterable[float]
+) -> Iterator[tuple[ChannelDims, float, float, Method, float]]:
+    """(dims, t, value, method, err_estimate), the fields of an
+    EvaluationResult, for each t of `ts` in order, each finite and
+    positive: one table's point loop, which looks its Stieltjes rule up
+    once."""
+    dims = table.dims
+    mn, half = dims.m * dims.n, (dims.m + dims.n) / 2.0
+    rule = _stieltjes_rule(dims, table.b_num, table.denominator)
+    for t in ts:
+        lower = mn / (t + half)
+        routed = None if rule is None else _stieltjes(rule, dims, t, lower)
+        value, err = routed or _exact(table, t, lower)
+        yield dims, t, value, Method.CLOSED_FORM, _round_up_2_digits(err)
+
+
 def evaluate_closed_form(table: CoefficientTable, t: float) -> EvaluationResult:
     """E[I] = sum a_k t^k + e^t Ei(-t) sum b_k t^k at finite inverse SNR
     t > 0, by the Stieltjes route where it is proven accurate and the
     exact route elsewhere (see the module docstring).  err_estimate
     bounds the error, rounded up to two significant digits."""
     _check_t(t)
-    m, n = table.dims.m, table.dims.n
-    lower = m * n / (t + (m + n) / 2.0)
-    rule = _stieltjes_rule(table.dims, table.b_num, table.denominator)
-    routed = None if rule is None else _stieltjes(rule, table.dims, t, lower)
-    value, err = routed or _exact(table, t, lower)
-    return EvaluationResult(
-        dims=table.dims,
-        t=t,
-        value=value,
-        method=Method.CLOSED_FORM,
-        err_estimate=_round_up_2_digits(err),
-    )
+    (row,) = _closed_form_rows(table, (t,))
+    return EvaluationResult._make(row)
 
 
 def _format_int_poly(coeffs: Sequence[int]) -> str:
@@ -350,24 +369,11 @@ def sweep(
     mode; results keep the input order.
     """
     ts = _grid_to_ts(grid, mode)
-    table = build_table(dims)
-    return [evaluate_closed_form(table, t) for t in ts]
+    rows = _closed_form_rows(build_table(dims), ts)
+    return list(map(EvaluationResult._make, rows))
 
 
 CSV_HEADER = "m,n,snr_db,t,mi_nats,method,err_estimate"
-
-
-def results_to_csv(results: Iterable[EvaluationResult]) -> str:
-    """CSV with round-trip-exact float formatting."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in results:
-        d = r.as_dict()
-        buf.write(
-            f"{d['m']},{d['n']},{d['snr_db']!r},{d['t']!r},"
-            f"{d['mi_nats']!r},{d['method']},{d['err_estimate']!r}\n"
-        )
-    return buf.getvalue()
 
 
 def _json_number(x: float) -> str:
@@ -381,20 +387,71 @@ def _json_number(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
+# One row of each output format from the fields of an EvaluationResult.
+# Floats are written round-trip exact, except in the text format's snr_db
+# and err.
+
+
+def _csv_row(
+    dims: ChannelDims, t: float, value: float, method: Method, err: float
+) -> str:
+    return (
+        f"{dims.m},{dims.n},{_snr_db(t)!r},{t!r},{value!r},{method.value},{err!r}\n"
+    )
+
+
+def _json_row(
+    dims: ChannelDims, t: float, value: float, method: Method, err: float
+) -> str:
+    """The row's object as json.dumps(..., indent=2) writes it in a list."""
+    return (
+        f'  {{\n    "m": {_json_number(dims.m)},\n'
+        f'    "n": {_json_number(dims.n)},\n'
+        f'    "snr_db": {_json_number(_snr_db(t))},\n'
+        f'    "t": {_json_number(t)},\n'
+        f'    "mi_nats": {_json_number(value)},\n'
+        f'    "method": "{method.value}",\n'
+        f'    "err_estimate": {_json_number(err)}\n  }}'
+    )
+
+
+def _text_row(
+    dims: ChannelDims, t: float, value: float, method: Method, err: float
+) -> str:
+    return (
+        f"m={dims.m} n={dims.n} snr_db={_snr_db(t):.6g} t={t!r} "
+        f"mi_nats={value!r} method={method.value} err<={err:.3e}\n"
+    )
+
+
+def _format_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """The `fmt` ("csv", "json" or "text") document of `rows`, each the
+    fields of an EvaluationResult, as one chunk per row plus any header
+    and footer, each formatted as its row comes.  The chunks join to
+    text that ends in a newline."""
+    if fmt == "csv":
+        yield CSV_HEADER + "\n"
+        for row in rows:
+            yield _csv_row(*row)
+    elif fmt == "json":
+        sep = "[\n"
+        for row in rows:
+            yield sep + _json_row(*row)
+            sep = ",\n"
+        yield "[]\n" if sep == "[\n" else "\n]\n"
+    else:
+        for row in rows:
+            yield _text_row(*row)
+
+
+def results_to_csv(results: Iterable[EvaluationResult]) -> str:
+    """CSV with round-trip-exact float formatting."""
+    return "".join(_format_rows(results, "csv"))
+
+
 def results_to_json(results: Iterable[EvaluationResult]) -> str:
     """The bytes of json.dumps([r.as_dict() for r in results], indent=2),
     formatted directly: indent selects json's pure-Python encoder, which
     takes as long per row as computing the row."""
-    rows = []
-    for r in results:
-        d = r.as_dict()
-        rows.append(
-            f'  {{\n    "m": {_json_number(d["m"])},\n'
-            f'    "n": {_json_number(d["n"])},\n'
-            f'    "snr_db": {_json_number(d["snr_db"])},\n'
-            f'    "t": {_json_number(d["t"])},\n'
-            f'    "mi_nats": {_json_number(d["mi_nats"])},\n'
-            f'    "method": "{d["method"]}",\n'
-            f'    "err_estimate": {_json_number(d["err_estimate"])}\n  }}'
-        )
-    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
+    # without the newline the CLI ends its output with
+    return "".join(_format_rows(results, "json"))[:-1]

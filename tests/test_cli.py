@@ -3,16 +3,30 @@ import errno
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import mimo_mi
-from mimo_mi import ChannelDims, CoefficientTable, build_table, cli, render_expression
+from mimo_mi import (
+    ChannelDims,
+    CoefficientTable,
+    GridMode,
+    build_table,
+    cli,
+    evaluator,
+    render_expression,
+    results_to_csv,
+    results_to_json,
+    sweep,
+    telatar_quadrature,
+)
 from mimo_mi.cli import run
 
 
@@ -56,6 +70,20 @@ class TestCoeffs:
         assert code == 0
         obj = json.loads(out)
         assert (obj["m"], obj["n"], len(obj["a"]), len(obj["b"])) == (1, 1200, 1199, 1200)
+
+    def test_json_derives_the_fractions_once(self, capsys, monkeypatch):
+        reads = []
+        for name in ("a", "b"):
+
+            def counting(table, fget=getattr(CoefficientTable, name).fget, name=name):
+                reads.append(name)
+                return fget(table)
+
+            monkeypatch.setattr(CoefficientTable, name, property(counting))
+        code, out, _ = invoke(capsys, "coeffs", "-m", "16", "-n", "32", "--format", "json")
+        assert code == 0
+        assert sorted(reads) == ["a", "b"]
+        assert out == build_table(ChannelDims(16, 32)).to_json() + "\n"
 
 
 class TestRender:
@@ -436,6 +464,120 @@ class TestOutputFile:
         code, out, _ = invoke(capsys, "coeffs", "-m", "2", "-n", "2")
         assert code == 0
         assert out.splitlines()[0] == "k,a,b"
+
+
+def _parent_bytes(results, fmt: str) -> str:
+    """The output the CLI wrote for `results` before it formatted rows as
+    they came: results_to_csv's and json.dumps's bytes, or one text line
+    per result, each with the newline the CLI ends its output with."""
+    if fmt == "csv":
+        return "m,n,snr_db,t,mi_nats,method,err_estimate\n" + "".join(
+            f"{d['m']},{d['n']},{d['snr_db']!r},{d['t']!r},"
+            f"{d['mi_nats']!r},{d['method']},{d['err_estimate']!r}\n"
+            for d in (r.as_dict() for r in results)
+        )
+    if fmt == "json":
+        return json.dumps([r.as_dict() for r in results], indent=2) + "\n"
+    return "".join(
+        f"m={r.dims.m} n={r.dims.n} snr_db={r.snr_db:.6g} t={r.t!r} "
+        f"mi_nats={r.value!r} method={r.method.value} err<={r.err_estimate:.3e}\n"
+        for r in results
+    )
+
+
+def _random_ts(m: int, n: int) -> list[float]:
+    rng = random.Random(f"streamed/{m}x{n}")
+    return [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(10)] + [5e-324, 1.0, 1e300]
+
+
+class TestStreamedOutput:
+    """eval and sweep format each row as it is computed, and write it to
+    an -o file as it comes; every byte stays what the whole-list route
+    gave."""
+
+    CASES = [
+        pytest.param("eval", 1, 1, (), id="eval-1x1"),
+        pytest.param("eval", 2, 2, (), id="eval-2x2"),
+        pytest.param("eval", 16, 32, (), id="eval-16x32"),
+        pytest.param("sweep", 2, 2, ("--snr-db", "-30:40:2.5"), id="sweep-2x2"),
+        pytest.param("sweep", 16, 32, ("--snr-db", "-40:40:7"), id="sweep-16x32"),
+        pytest.param(
+            "eval", 2, 3, ("--t", "0.3", "1", "40", "--quadrature"), id="quadrature"
+        ),
+    ]
+
+    @pytest.mark.parametrize("command, m, n, extra", CASES)
+    def test_bytes_equal_the_whole_list_route(self, tmp_path, capsys, command, m, n, extra):
+        dims = ChannelDims(m, n)
+        if "--quadrature" in extra:
+            results = [telatar_quadrature(dims, float(t)) for t in extra[1:-1]]
+        elif command == "sweep":
+            results = sweep(dims, cli._parse_grid(extra[1]), GridMode.SNR_DB)
+        else:
+            ts = _random_ts(m, n)
+            extra = ("--t", *map(repr, ts))
+            results = sweep(dims, ts, GridMode.INVERSE_SNR)
+            table = build_table(dims)
+            rule = evaluator._stieltjes_rule(dims, table.b_num, table.denominator)
+            routes = {
+                evaluator._stieltjes(rule, dims, t, m * n / (t + (m + n) / 2)) is None
+                for t in ts
+            }
+            assert routes == {True, False}
+        target = tmp_path / "out"
+        for fmt in ("csv", "json", "text"):
+            want = _parent_bytes(results, fmt)
+            argv = (command, "-m", str(m), "-n", str(n), *extra, "--format", fmt)
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 0
+            assert out == want, fmt
+            code, out, _ = invoke(capsys, *argv, "-o", str(target))
+            assert (code, out) == (0, "")
+            assert target.read_text() == want, fmt
+        assert results_to_csv(results) == _parent_bytes(results, "csv")
+        assert results_to_json(results) + "\n" == _parent_bytes(results, "json")
+
+    # t = 1 is computed first; the 1x181 table has no Stieltjes rule, so
+    # t = 1e300 then needs more bits than the exact route allows.
+    LATE_FAILURE = ("eval", "-m", "1", "-n", "181", "--t", "1", "1e300")
+
+    def test_late_failure_prints_nothing(self, capsys):
+        code, out, err = invoke(capsys, *self.LATE_FAILURE)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mimo-mi: error: t=1e+300 is too large for 1x181")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("old", [None, "old bytes\n"], ids=["new", "existing"])
+    def test_late_failure_leaves_the_file_as_it_was(self, tmp_path, capsys, fmt, old):
+        target = tmp_path / "out"
+        if old is not None:
+            target.write_text(old)
+        code, out, _ = invoke(
+            capsys, *self.LATE_FAILURE, "--format", fmt, "-o", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert os.listdir(tmp_path) == ([] if old is None else ["out"])
+        if old is not None:
+            assert target.read_text() == old
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_output_memory_does_not_grow_with_the_grid(self, tmp_path, fmt):
+        """What is left per point is the grid's floats, about 70 B; the
+        rows and the text took about 410 B (csv) and 800 B (json)."""
+
+        def peak(spec):
+            argv = ["sweep", "-m", "2", "-n", "2", "--snr-db", spec]
+            tracemalloc.start()
+            try:
+                assert run(argv + ["--format", fmt, "-o", str(tmp_path / "out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("-20:29.9:0.1")  # the first call loads what later ones reuse
+        small, large = peak("-20:29.9:0.1"), peak("-20:29.98:0.02")  # 500, 2,500
+        assert (large - small) / 2000 < 100
 
 
 class TestVerify:

@@ -262,20 +262,20 @@ class TestFrozenTables:
         assert tuple(a(k) for k in range(n + m - 2)) == t.a
         assert tuple(b(k) for k in range(n + m - 1)) == t.b
 
-    def test_build_uses_each_c_once(self, monkeypatch):
-        """The column sums, the build's one use of c_ij, take each once."""
-        calls = []
-        real = coefficients._c_scaled
-
-        def counting(i, j, m, n):
-            calls.append((i, j))
-            return real(i, j, m, n)
-
-        monkeypatch.setattr(coefficients, "_c_scaled", counting)
-        d = ChannelDims(48, 64)
-        coefficients._column_sums(d)
-        assert 0 < len(calls) <= d.m * (2 * d.m - 1)
-        assert len(set(calls)) == len(calls)
+    @pytest.mark.parametrize(
+        "m,n",
+        [(m, n) for n in range(1, 13) for m in range(1, n + 1)] + [(48, 64)],
+    )
+    def test_stepped_column_sums_equal_c_scaled(self, m, n):
+        """The column sums step the binomials of c_ij along each row; they
+        equal the sums of _c_scaled, which takes each from math.comb."""
+        nums, den = coefficients._column_sums(ChannelDims(m, n))
+        top = math.factorial(2 * m - 2)
+        assert den == top * math.factorial(n + 1)
+        for i, num in enumerate(nums):
+            row = sum(coefficients._c_scaled(i, j, m, n) for j in range(i + 1))
+            scale = math.factorial(m) * top // math.factorial(i)
+            assert num == (-1) ** i * scale * row, i
 
 
 class TestIntegerForm:

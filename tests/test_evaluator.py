@@ -264,6 +264,21 @@ class TestGaussLaguerreRule:
             assert NODES == tuple(float(x) for x in nodes)
             assert WEIGHTS == tuple(float(w) for w in weights)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 7), (16, 16), (16, 32)])
+    def test_terms_are_w_beta_rounded_once(self, m, n):
+        """The rule's inline Horner sums give w_i beta(x_i) as _horner does."""
+        table = build_table(ChannelDims(m, n))
+        rule = evaluator._stieltjes_rule.__wrapped__(
+            table.dims, table.b_num, table.denominator
+        )
+        beta = [c if k % 2 else -c for k, c in enumerate(table.b_num)]
+        want = []
+        for x, w in zip(rule.nodes, WEIGHTS):
+            num, den = evaluator._horner(beta, *x.as_integer_ratio())
+            w_num, w_den = w.as_integer_ratio()
+            want.append(num * w_num / (den * w_den * table.denominator))
+        assert rule.terms == tuple(want)
+
     @pytest.mark.parametrize("t", [1e-3, 0.01, 0.1, 0.3])
     def test_remainder_bound(self, t):
         """0 <= e^t E1(t) - sum_i w_i / (t + x_i) <= 1 / (t L_128(-t)^2)."""
