@@ -19,8 +19,6 @@ from .evaluator import (
     Method,
     evaluate_closed_form,
     render_expression,
-    results_to_csv,
-    results_to_json,
     sweep,
 )
 from .special_functions import (
@@ -48,8 +46,6 @@ __all__ = [
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",
-    "results_to_csv",
-    "results_to_json",
     "sweep",
     "telatar_quadrature",
     "upper_gamma_int",

@@ -16,13 +16,13 @@ import re
 import shutil
 import stat
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .coefficients import ChannelDims, _table_json, build_table
+from .coefficients import ChannelDims, build_table
 from .evaluator import (
     GridMode,
+    Method,
     _closed_form_rows,
-    _format_rows,
     _grid_to_ts,
     render_expression,
 )
@@ -134,6 +134,80 @@ def _check_str_digits(dims: ChannelDims, ints) -> None:
             "digits, Python's limit for converting an int to text; "
             "PYTHONINTMAXSTRDIGITS=0 lifts the limit"
         )
+
+
+def _table_json(dims: ChannelDims, a, b) -> str:
+    """The JSON of the table with coefficients a and b, as Fractions."""
+    import json
+
+    a, b = [str(x) for x in a], [str(x) for x in b]
+    return json.dumps({"m": dims.m, "n": dims.n, "a": a, "b": b})
+
+
+CSV_HEADER = "m,n,snr_db,t,mi_nats,method,err_estimate"
+
+
+def _snr_db(t: float) -> float:
+    # + 0.0 normalizes the negative zero at t = 1
+    return -10.0 * math.log10(t) + 0.0
+
+
+# One row of each output format from the fields of an EvaluationResult.
+# Floats are written round-trip exact, except in the text format's snr_db
+# and err.  No field is NaN or infinite, so repr writes each number as
+# json.dumps does.
+
+
+def _csv_row(
+    dims: ChannelDims, t: float, value: float, method: Method, err: float
+) -> str:
+    return (
+        f"{dims.m},{dims.n},{_snr_db(t)!r},{t!r},{value!r},{method.value},{err!r}\n"
+    )
+
+
+def _json_row(
+    dims: ChannelDims, t: float, value: float, method: Method, err: float
+) -> str:
+    """The row's object as json.dumps(..., indent=2) writes it in a list."""
+    return (
+        f'  {{\n    "m": {dims.m!r},\n'
+        f'    "n": {dims.n!r},\n'
+        f'    "snr_db": {_snr_db(t)!r},\n'
+        f'    "t": {t!r},\n'
+        f'    "mi_nats": {value!r},\n'
+        f'    "method": "{method.value}",\n'
+        f'    "err_estimate": {err!r}\n  }}'
+    )
+
+
+def _text_row(
+    dims: ChannelDims, t: float, value: float, method: Method, err: float
+) -> str:
+    return (
+        f"m={dims.m} n={dims.n} snr_db={_snr_db(t):.6g} t={t!r} "
+        f"mi_nats={value!r} method={method.value} err<={err:.3e}\n"
+    )
+
+
+def _format_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """The `fmt` ("csv", "json" or "text") document of `rows`, each the
+    fields of an EvaluationResult, as one chunk per row plus any header
+    and footer, each formatted as its row comes.  The chunks join to
+    text that ends in a newline."""
+    if fmt == "csv":
+        yield CSV_HEADER + "\n"
+        for row in rows:
+            yield _csv_row(*row)
+    elif fmt == "json":
+        sep = "[\n"
+        for row in rows:
+            yield sep + _json_row(*row)
+            sep = ",\n"
+        yield "[]\n" if sep == "[\n" else "\n]\n"
+    else:
+        for row in rows:
+            yield _text_row(*row)
 
 
 def _resolve_grid(args) -> tuple[list[float], GridMode]:
@@ -378,7 +452,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command][2](args)
-    except (ValueError, IndexError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"mimo-mi: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -22,12 +22,12 @@ from itertools import accumulate
 from typing import NamedTuple
 
 # Largest table build_table builds, in units of its work estimate
-# (n+m-2) ((n+m-2)^2 + m^3): the final gcd and division grow as the
-# first term, the column sums' binomials as the second.  1.4e11 units
-# took about 10 s on a 2-core Xeon (1x4800 8 s, 500x500 10 s) when each
-# binomial came from math.comb; stepped, 500x500 takes 1.1 s, so the m^3
-# term overstates square tables.
-_MAX_BUILD_WORK = 14 * 10**10
+# (n+m-2)^2 ((n+m-2) + 18m): the final gcds and divisions grow as the
+# first term, the column sums and the Horner sums of the a_k as the
+# second.  On a 2-core Xeon one unit took about 8e-11 s, so 1.2e11 units
+# is about 10 s: the largest tables it admits, 1x4927 and 1145x1145,
+# took 8.9 s and 9.3 s, and 1200x1200 11.3 s.
+_MAX_BUILD_WORK = 12 * 10**10
 
 
 class _Dims(NamedTuple):
@@ -140,17 +140,6 @@ class CoefficientTable(NamedTuple):
     def b(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.denominator) for x in self.b_num)
 
-    def to_json(self) -> str:
-        return _table_json(self.dims, self.a, self.b)
-
-
-def _table_json(dims: ChannelDims, a, b) -> str:
-    """The JSON of the table with coefficients a and b, as Fractions."""
-    import json
-
-    a, b = [str(x) for x in a], [str(x) for x in b]
-    return json.dumps({"m": dims.m, "n": dims.n, "a": a, "b": b})
-
 
 @lru_cache(maxsize=None)
 def build_table(dims: ChannelDims) -> CoefficientTable:
@@ -170,9 +159,9 @@ def build_table(dims: ChannelDims) -> CoefficientTable:
     """
     m, n = dims.m, dims.n
     d, top = n - m, n + m - 2
-    if top * (top * top + m**3) > _MAX_BUILD_WORK:
+    if top * top * (top + 18 * m) > _MAX_BUILD_WORK:
         raise ValueError(
-            f"the {m} x {n} table is too large to build: (n+m-2)((n+m-2)^2 + m^3) "
+            f"the {m} x {n} table is too large to build: (n+m-2)^2 ((n+m-2) + 18m) "
             f"is above {_MAX_BUILD_WORK:.2g}, about 10 s of work"
         )
     nums, den = _column_sums(dims)

@@ -68,11 +68,6 @@ class GridMode(str, enum.Enum):
     INVERSE_SNR = "t"
 
 
-def _snr_db(t: float) -> float:
-    # + 0.0 normalizes the negative zero at t = 1
-    return -10.0 * math.log10(t) + 0.0
-
-
 class EvaluationResult(NamedTuple):
     """One E[I] value in nats at inverse SNR t, with provenance."""
 
@@ -81,21 +76,6 @@ class EvaluationResult(NamedTuple):
     value: float
     method: Method
     err_estimate: float
-
-    @property
-    def snr_db(self) -> float:
-        return _snr_db(self.t)
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.dims.m,
-            "n": self.dims.n,
-            "snr_db": self.snr_db,
-            "t": self.t,
-            "mi_nats": self.value,
-            "method": self.method.value,
-            "err_estimate": self.err_estimate,
-        }
 
 
 def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
@@ -247,13 +227,12 @@ def _exact(table: CoefficientTable, t: float, lower: float) -> tuple[float, floa
             f"t={t} is too large for {m}x{n}: the closed form would need"
             f" {prec} bits (at most {_MAX_EXACT_BITS})"
         )
-    # e^t Ei(-t) = -man 2^exp to within 2^-prec
+    # e^t Ei(-t) = -man 2^exp to within 2^-prec, and exp < 0: the series
+    # gives exp = -work, and the S-fraction, which runs only where
+    # e^t E1(t) < 4, gives exp <= 2 - bits
     man, exp = ei_exp_scaled(t, prec)
-    if exp >= 0:
-        num -= (man * num_b) << exp
-    else:
-        num = (num << -exp) - man * num_b
-        den <<= -exp
+    num = (num << -exp) - man * num_b
+    den <<= -exp
     value = num / den  # int / int true division rounds once
     return value, math.ldexp(1.0, bits_b + 2 - prec) + math.ulp(value)
 
@@ -372,86 +351,3 @@ def sweep(
     rows = _closed_form_rows(build_table(dims), ts)
     return list(map(EvaluationResult._make, rows))
 
-
-CSV_HEADER = "m,n,snr_db,t,mi_nats,method,err_estimate"
-
-
-def _json_number(x: float) -> str:
-    """x as json.dumps writes an int or a float."""
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if math.isfinite(x):
-        return float.__repr__(x)
-    if x != x:
-        return "NaN"
-    return "Infinity" if x > 0 else "-Infinity"
-
-
-# One row of each output format from the fields of an EvaluationResult.
-# Floats are written round-trip exact, except in the text format's snr_db
-# and err.
-
-
-def _csv_row(
-    dims: ChannelDims, t: float, value: float, method: Method, err: float
-) -> str:
-    return (
-        f"{dims.m},{dims.n},{_snr_db(t)!r},{t!r},{value!r},{method.value},{err!r}\n"
-    )
-
-
-def _json_row(
-    dims: ChannelDims, t: float, value: float, method: Method, err: float
-) -> str:
-    """The row's object as json.dumps(..., indent=2) writes it in a list."""
-    return (
-        f'  {{\n    "m": {_json_number(dims.m)},\n'
-        f'    "n": {_json_number(dims.n)},\n'
-        f'    "snr_db": {_json_number(_snr_db(t))},\n'
-        f'    "t": {_json_number(t)},\n'
-        f'    "mi_nats": {_json_number(value)},\n'
-        f'    "method": "{method.value}",\n'
-        f'    "err_estimate": {_json_number(err)}\n  }}'
-    )
-
-
-def _text_row(
-    dims: ChannelDims, t: float, value: float, method: Method, err: float
-) -> str:
-    return (
-        f"m={dims.m} n={dims.n} snr_db={_snr_db(t):.6g} t={t!r} "
-        f"mi_nats={value!r} method={method.value} err<={err:.3e}\n"
-    )
-
-
-def _format_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
-    """The `fmt` ("csv", "json" or "text") document of `rows`, each the
-    fields of an EvaluationResult, as one chunk per row plus any header
-    and footer, each formatted as its row comes.  The chunks join to
-    text that ends in a newline."""
-    if fmt == "csv":
-        yield CSV_HEADER + "\n"
-        for row in rows:
-            yield _csv_row(*row)
-    elif fmt == "json":
-        sep = "[\n"
-        for row in rows:
-            yield sep + _json_row(*row)
-            sep = ",\n"
-        yield "[]\n" if sep == "[\n" else "\n]\n"
-    else:
-        for row in rows:
-            yield _text_row(*row)
-
-
-def results_to_csv(results: Iterable[EvaluationResult]) -> str:
-    """CSV with round-trip-exact float formatting."""
-    return "".join(_format_rows(results, "csv"))
-
-
-def results_to_json(results: Iterable[EvaluationResult]) -> str:
-    """The bytes of json.dumps([r.as_dict() for r in results], indent=2),
-    formatted directly: indent selects json's pure-Python encoder, which
-    takes as long per row as computing the row."""
-    # without the newline the CLI ends its output with
-    return "".join(_format_rows(results, "json"))[:-1]

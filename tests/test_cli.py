@@ -21,9 +21,8 @@ from mimo_mi import (
     build_table,
     cli,
     evaluator,
+    monte_carlo_mi,
     render_expression,
-    results_to_csv,
-    results_to_json,
     sweep,
     telatar_quadrature,
 )
@@ -83,7 +82,14 @@ class TestCoeffs:
         code, out, _ = invoke(capsys, "coeffs", "-m", "16", "-n", "32", "--format", "json")
         assert code == 0
         assert sorted(reads) == ["a", "b"]
-        assert out == build_table(ChannelDims(16, 32)).to_json() + "\n"
+        table = build_table(ChannelDims(16, 32))
+        want = {
+            "m": 16,
+            "n": 32,
+            "a": [str(x) for x in table.a],
+            "b": [str(x) for x in table.b],
+        }
+        assert out == json.dumps(want) + "\n"
 
 
 class TestRender:
@@ -242,6 +248,25 @@ class TestMc:
         obj = json.loads(out1)
         assert obj["samples"] == 1000 and obj["seed"] == 42
 
+    def test_csv(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "mc", "-m", "3", "-n", "2",
+            "--t", "1.5", "--samples", "4000", "--seed", "11", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        report = monte_carlo_mi(ChannelDims(2, 3), 1.5, 4000, seed=11, workers=1)
+        header, row = out.splitlines()
+        assert header == "m,n,t,samples,mean,std_error,seed,worker_count"
+        fields = row.split(",")
+        assert fields == [
+            "2", "3", "1.5", "4000",
+            repr(report.mean), repr(report.std_error), "11", "1",
+        ]
+        assert float(fields[4]) == report.mean
+        assert float(fields[5]) == report.std_error
+        assert out.endswith("\n")
+
     def test_too_few_samples_exit_1(self, capsys):
         code, _, _ = invoke(
             capsys, "mc", "-m", "2", "-n", "2", "--t", "1", "--samples", "10"
@@ -304,12 +329,12 @@ class TestLimits:
     @pytest.mark.parametrize("command", ["coeffs", "render", "eval"])
     def test_dims_cap_exit_1(self, capsys, command):
         extra = ("--t", "1") if command == "eval" else ()
-        code, out, err = invoke(capsys, command, "-m", "1000", "-n", "1000", *extra)
+        code, out, err = invoke(capsys, command, "-m", "1200", "-n", "1200", *extra)
         assert code == 1
         assert out == ""
         assert err == (
-            "mimo-mi: error: the 1000 x 1000 table is too large to build: "
-            "(n+m-2)((n+m-2)^2 + m^3) is above 1.4e+11, about 10 s of work\n"
+            "mimo-mi: error: the 1200 x 1200 table is too large to build: "
+            "(n+m-2)^2 ((n+m-2) + 18m) is above 1.2e+11, about 10 s of work\n"
         )
 
     def test_grid_point_cap(self):
@@ -468,20 +493,35 @@ class TestOutputFile:
 
 def _parent_bytes(results, fmt: str) -> str:
     """The output the CLI wrote for `results` before it formatted rows as
-    they came: results_to_csv's and json.dumps's bytes, or one text line
-    per result, each with the newline the CLI ends its output with."""
+    they came: one CSV line per result under the header, json.dumps's
+    bytes, or one text line per result, each with the newline the CLI
+    ends its output with."""
+    rows = [
+        {
+            "m": r.dims.m,
+            "n": r.dims.n,
+            # + 0.0 normalizes the negative zero at t = 1
+            "snr_db": -10.0 * math.log10(r.t) + 0.0,
+            "t": r.t,
+            "mi_nats": r.value,
+            "method": r.method.value,
+            "err_estimate": r.err_estimate,
+        }
+        for r in results
+    ]
     if fmt == "csv":
         return "m,n,snr_db,t,mi_nats,method,err_estimate\n" + "".join(
             f"{d['m']},{d['n']},{d['snr_db']!r},{d['t']!r},"
             f"{d['mi_nats']!r},{d['method']},{d['err_estimate']!r}\n"
-            for d in (r.as_dict() for r in results)
+            for d in rows
         )
     if fmt == "json":
-        return json.dumps([r.as_dict() for r in results], indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
     return "".join(
-        f"m={r.dims.m} n={r.dims.n} snr_db={r.snr_db:.6g} t={r.t!r} "
-        f"mi_nats={r.value!r} method={r.method.value} err<={r.err_estimate:.3e}\n"
-        for r in results
+        f"m={d['m']} n={d['n']} snr_db={d['snr_db']:.6g} t={d['t']!r} "
+        f"mi_nats={d['mi_nats']!r} method={d['method']} "
+        f"err<={d['err_estimate']:.3e}\n"
+        for d in rows
     )
 
 
@@ -534,8 +574,6 @@ class TestStreamedOutput:
             code, out, _ = invoke(capsys, *argv, "-o", str(target))
             assert (code, out) == (0, "")
             assert target.read_text() == want, fmt
-        assert results_to_csv(results) == _parent_bytes(results, "csv")
-        assert results_to_json(results) + "\n" == _parent_bytes(results, "json")
 
     # t = 1 is computed first; the 1x181 table has no Stieltjes rule, so
     # t = 1e300 then needs more bits than the exact route allows.
@@ -589,6 +627,19 @@ class TestVerify:
         )
         assert code == 0
         assert "PASS" in out
+
+    def test_full_suite_passes(self, capsys):
+        """Without -m and -n, verify runs each of the six checks once."""
+        code, out, err = invoke(capsys, "verify", "--mc-samples", "20000")
+        assert (code, err) == (0, "")
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "PASS  reference expressions",
+            "PASS  laguerre orthogonality",
+            "PASS  log-weighted gamma integral identity",
+            "PASS  eigenvalue density",
+            "PASS  log-term cancellation identity",
+            "PASS  three-way agreement",
+        ]
 
     def test_huge_t_gives_a_verdict(self, capsys):
         # the Monte Carlo std_error underflowed to 0.0 here, and the sigma

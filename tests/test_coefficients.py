@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import pytest
 
 import mimo_mi.coefficients as coefficients
 from mimo_mi import ChannelDims, build_table, coeff_c
+from mimo_mi.cli import run
 
 
 def _harmonic(l):
@@ -175,12 +178,29 @@ class TestDimsCap:
         monkeypatch.setattr(coefficients, "_column_sums", refuse)
         return build_table.__wrapped__  # past the cache
 
-    @pytest.mark.parametrize("m,n", [(600, 600), (1, 6000), (2, 10**30)])
+    # the boundary: 1x4927 and 1145x1145 are the largest of their shapes
+    @pytest.mark.parametrize(
+        "m,n",
+        [(1200, 1200), (1146, 1146), (1000, 2000), (1, 4928), (1, 6000), (2, 10**30)],
+    )
     def test_too_large_rejected(self, no_build, m, n):
-        with pytest.raises(ValueError, match=r"too large to build.* above 1\.4e\+11"):
+        with pytest.raises(ValueError, match=r"too large to build.* above 1\.2e\+11"):
             no_build(ChannelDims(m, n))
 
-    @pytest.mark.parametrize("m,n", [(64, 128), (1, 1200), (1, 1700), (500, 500)])
+    @pytest.mark.parametrize(
+        "m,n",
+        [
+            (64, 128),
+            (1, 1200),
+            (1, 1700),
+            (500, 500),
+            (600, 600),
+            (800, 1600),
+            (1145, 1145),
+            (1, 4800),
+            (1, 4927),
+        ],
+    )
     def test_accepted(self, no_build, m, n):
         with pytest.raises(RuntimeError, match="building"):
             no_build(ChannelDims(m, n))
@@ -199,31 +219,39 @@ class TestExactIdentity:
             assert total == m
 
 
+def _table_json(m: int, n: int) -> str:
+    """The table's JSON as `mimo-mi coeffs --format json` writes it, less
+    its final newline."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["coeffs", "-m", str(m), "-n", str(n), "--format", "json"]) == 0
+    text = out.getvalue()
+    assert text.endswith("}\n")
+    return text[:-1]
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         t = build_table(ChannelDims(2, 4))
-        obj = json.loads(t.to_json())
+        obj = json.loads(_table_json(2, 4))
         assert ChannelDims(obj["m"], obj["n"]) == t.dims
         assert tuple(map(Fraction, obj["a"])) == t.a
         assert tuple(map(Fraction, obj["b"])) == t.b
 
     def test_json_shape(self):
-        import json
-
-        obj = json.loads(build_table(ChannelDims(2, 2)).to_json())
+        obj = json.loads(_table_json(2, 2))
         assert obj == {"m": 2, "n": 2, "a": ["1", "-1"], "b": ["-2", "0", "-1"]}
 
     def test_rationals_lowest_terms(self):
-        import json
-
-        obj = json.loads(build_table(ChannelDims(2, 6)).to_json())
+        obj = json.loads(_table_json(2, 6))
         assert obj["b"][3] == "1/3"
         assert obj["b"][-1] == "-1/120"
 
 
 class TestFrozenTables:
-    """Every table with m <= 16, n <= 32 is pinned by the SHA-256 of its
-    JSON, so any change to how tables are built must keep them exact."""
+    """Every table with m <= 16, n <= 32 is pinned by the SHA-256 of the
+    JSON `coeffs --format json` writes for it, so any change to how
+    tables are built must keep them exact."""
 
     def test_json_hashes_unchanged(self):
         path = os.path.join(os.path.dirname(__file__), "data", "table_sha256.json")
@@ -232,7 +260,7 @@ class TestFrozenTables:
         assert len(frozen) == sum(33 - m for m in range(1, 17))
         for key, digest in frozen.items():
             m, n = map(int, key.split("x"))
-            text = build_table(ChannelDims(m, n)).to_json()
+            text = _table_json(m, n)
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
     def test_single_coefficients_match_table(self):

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import random
@@ -6,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from mimo_mi import evaluator
+from mimo_mi import cli, evaluator
 from mimo_mi import (
     ChannelDims,
     GridMode,
@@ -15,8 +18,6 @@ from mimo_mi import (
     ei_exp_scaled,
     evaluate_closed_form,
     render_expression,
-    results_to_csv,
-    results_to_json,
     sweep,
     telatar_quadrature,
 )
@@ -142,7 +143,7 @@ class TestSweep:
 
     def test_preserves_order(self):
         rs = sweep(ChannelDims(2, 2), [5.0, -3.0, 12.0], GridMode.SNR_DB)
-        assert [r.snr_db for r in rs] == pytest.approx([5.0, -3.0, 12.0])
+        assert [-10.0 * math.log10(r.t) for r in rs] == pytest.approx([5.0, -3.0, 12.0])
 
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):
@@ -294,14 +295,36 @@ class TestGaussLaguerreRule:
             assert math.exp(evaluator._ln_laguerre_lower(t)) <= laguerre
 
 
+def _cli_output(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(list(argv)) == 0
+    return out.getvalue()
+
+
+def _as_dict(r) -> dict:
+    """The row the CLI writes for result r, as a dict in its key order."""
+    return {
+        "m": r.dims.m,
+        "n": r.dims.n,
+        "snr_db": -10.0 * math.log10(r.t) + 0.0,
+        "t": r.t,
+        "mi_nats": r.value,
+        "method": r.method.value,
+        "err_estimate": r.err_estimate,
+    }
+
+
 class TestSerialization:
     def test_csv_round_trip_floats(self):
         rs = sweep(ChannelDims(2, 3), [0.0, 10.0], GridMode.SNR_DB)
-        text = results_to_csv(rs)
-        lines = text.strip().split("\n")
-        assert lines[0] == "m,n,snr_db,t,mi_nats,method,err_estimate"
-        for line, r in zip(lines[1:], rs):
-            fields = line.split(",")
+        text = _cli_output(
+            "sweep", "-m", "2", "-n", "3", "--snr-db", "0:10:10", "--format", "csv"
+        )
+        lines = list(csv.reader(io.StringIO(text)))
+        assert lines[0] == "m,n,snr_db,t,mi_nats,method,err_estimate".split(",")
+        assert len(lines) == 1 + len(rs)
+        for fields, r in zip(lines[1:], rs):
             assert int(fields[0]) == 2 and int(fields[1]) == 3
             assert float(fields[3]) == r.t
             assert float(fields[4]) == r.value  # round-trip exact
@@ -309,7 +332,10 @@ class TestSerialization:
 
     def test_json(self):
         rs = sweep(ChannelDims(2, 2), [0.0], GridMode.SNR_DB)
-        data = json.loads(results_to_json(rs))
+        text = _cli_output(
+            "sweep", "-m", "2", "-n", "2", "--snr-db", "0", "--format", "json"
+        )
+        data = json.loads(text)
         assert data[0]["m"] == 2
         assert data[0]["mi_nats"] == rs[0].value
         assert data[0]["method"] == "closed_form"
@@ -325,15 +351,5 @@ class TestSerialization:
             rs += [telatar_quadrature(dims, t) for t in ts]
         assert {r.method for r in rs} == set(Method)
         for chosen in ([], rs[:1], rs):
-            want = json.dumps([r.as_dict() for r in chosen], indent=2)
-            assert results_to_json(chosen) == want
-
-    def test_json_spells_non_finite_floats_as_json_does(self):
-        r = evaluate_closed_form(build_table(ChannelDims(2, 2)), 1.0)
-        rs = [
-            r._replace(value=math.nan, err_estimate=math.inf),
-            r._replace(value=-math.inf, t=2),
-        ]
-        text = results_to_json(rs)
-        assert text == json.dumps([r.as_dict() for r in rs], indent=2)
-        assert '"mi_nats": NaN' in text and '"err_estimate": Infinity' in text
+            want = json.dumps([_as_dict(r) for r in chosen], indent=2) + "\n"
+            assert "".join(cli._format_rows(chosen, "json")) == want

@@ -26,8 +26,6 @@ PUBLIC_API = [
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",
-    "results_to_csv",
-    "results_to_json",
     "sweep",
     "telatar_quadrature",
     "upper_gamma_int",

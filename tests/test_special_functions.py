@@ -231,11 +231,16 @@ class TestIntegerExpIntegral:
         # t over the whole float range, and over the range of the crossover
         ts = [2.0 ** rng.uniform(-1074.0, 996.0) for _ in range(60)]
         ts += [2.0 ** rng.uniform(-12.0, 8.0) for _ in range(60)]
-        for t in ts:
-            # below t = 8 the series fits prec <= 960 in its 1013 bits; at
-            # t >= 8 the fraction needs under 4096 steps for prec <= 1000
-            prec = rng.randint(53, 1000 if t >= 8.0 else 960)
-            assert _units_off(*ei_exp_scaled(t, prec), t, prec) < 1, (t, prec)
+        # below t = 8 the series fits prec <= 960 in its 1013 bits; at
+        # t >= 8 the fraction needs under 4096 steps for prec <= 1000
+        cases = [(t, rng.randint(53, 1000 if t >= 8.0 else 960)) for t in ts]
+        # the ends of the float range, and t = 50 in the fraction
+        cases += [(5e-324, 64), (1.0, 64), (50.0, 1000), (1e300, 1000)]
+        for t, prec in cases:
+            man, exp = ei_exp_scaled(t, prec)
+            assert _units_off(man, exp, t, prec) < 1, (t, prec)
+            # the closed form's exact route relies on this
+            assert exp < 0, (t, prec)
         assert branches["_e1_series"] >= 30 and branches["_e1_cf"] >= 30
 
     @pytest.mark.parametrize("prec", [53, 64, 80, 160, 347, 700])
