@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
 import math
 import random
 from fractions import Fraction
@@ -353,3 +355,77 @@ class TestSerialization:
         for chosen in ([], rs[:1], rs):
             want = json.dumps([_as_dict(r) for r in chosen], indent=2) + "\n"
             assert "".join(cli._format_rows(chosen, "json")) == want
+
+
+# The closed-form documents tests/data/closed_form_sha256.json pins, by key:
+# sweeps over the ROADMAP range in every format, and single points from the
+# smallest positive float to 1e300.  1x181 has no Stieltjes rule, and at
+# t = 1e300 it needs more bits than the exact route allows, so that point
+# exits 1 and is left out.
+_FROZEN_SWEEP_DIMS = (
+    (1, 1), (1, 3), (2, 2), (3, 7), (8, 8), (11, 11), (16, 16), (12, 24), (16, 32)
+)
+_FROZEN_EVAL_TS = (
+    "5e-324", "1e-300", "1e-6", "0.37", "0.5", "0.9", "1.3", "10", "1e6", "1e100",
+    "1e300",
+)
+_FROZEN_EVAL_POINTS = (
+    ((1, 1), _FROZEN_EVAL_TS),
+    ((2, 2), _FROZEN_EVAL_TS),
+    ((16, 32), _FROZEN_EVAL_TS),
+    ((1, 181), _FROZEN_EVAL_TS[:-1]),
+)
+
+
+def _frozen_requests() -> dict:
+    """key: CLI argv, for every document the golden file pins."""
+    requests = {}
+    for m, n in _FROZEN_SWEEP_DIMS:
+        for fmt in ("csv", "json", "text"):
+            requests[f"sweep {m}x{n} {fmt}"] = (
+                "sweep", "-m", str(m), "-n", str(n), "--snr-db=-30:40:0.25",
+                "--format", fmt,
+            )
+    for (m, n), ts in _FROZEN_EVAL_POINTS:
+        for t in ts:
+            requests[f"eval {m}x{n} t={t}"] = (
+                "eval", "-m", str(m), "-n", str(n), "--t", t, "--format", "json"
+            )
+    return requests
+
+
+def _line_hashes(text: str) -> str:
+    """The first 4 hex digits of each line's SHA-256, run together: enough
+    to find the first line that changed once the document's hash differs."""
+    return "".join(
+        hashlib.sha256(line.encode()).hexdigest()[:4]
+        for line in text.splitlines(keepends=True)
+    )
+
+
+def _frozen_digest(text: str) -> dict:
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "lines": _line_hashes(text)}
+
+
+class TestFrozenClosedForm:
+    """Every byte of the closed-form documents above is pinned by its
+    SHA-256, so a faster point loop or row writer must keep each value,
+    err_estimate and format exact."""
+
+    def test_documents_unchanged(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "closed_form_sha256.json")
+        with open(path) as fh:
+            frozen = json.load(fh)
+        requests = _frozen_requests()
+        assert sorted(frozen) == sorted(requests)
+        for key, argv in requests.items():
+            text = _cli_output(*argv)
+            want = frozen[key]
+            if hashlib.sha256(text.encode()).hexdigest() == want["sha256"]:
+                continue
+            lines = text.splitlines(keepends=True)
+            got = _line_hashes(text)
+            for i, line in enumerate(lines):
+                if got[4 * i : 4 * i + 4] != want["lines"][4 * i : 4 * i + 4]:
+                    pytest.fail(f"{key}: line {i + 1} differs: {line!r}")
+            pytest.fail(f"{key}: {len(lines)} lines, {len(want['lines']) // 4} frozen")
