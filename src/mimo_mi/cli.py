@@ -19,13 +19,7 @@ import sys
 from typing import Iterable, Iterator
 
 from .coefficients import ChannelDims, build_table
-from .evaluator import (
-    GridMode,
-    Method,
-    _closed_form_rows,
-    _grid_to_ts,
-    render_expression,
-)
+from .evaluator import GridMode, _closed_form_rows, _grid_to_ts, render_expression
 
 FORMAT_ENV_VAR = "MIMO_MI_FORMAT"
 # Most points a 'start:stop:step' SNR grid may expand to.
@@ -147,67 +141,46 @@ def _table_json(dims: ChannelDims, a, b) -> str:
 CSV_HEADER = "m,n,snr_db,t,mi_nats,method,err_estimate"
 
 
-def _snr_db(t: float) -> float:
-    # + 0.0 normalizes the negative zero at t = 1
-    return -10.0 * math.log10(t) + 0.0
-
-
-# One row of each output format from the fields of an EvaluationResult.
-# Floats are written round-trip exact, except in the text format's snr_db
-# and err.  No field is NaN or infinite, so repr writes each number as
-# json.dumps does.
-
-
-def _csv_row(
-    dims: ChannelDims, t: float, value: float, method: Method, err: float
-) -> str:
-    return (
-        f"{dims.m},{dims.n},{_snr_db(t)!r},{t!r},{value!r},{method.value},{err!r}\n"
-    )
-
-
-def _json_row(
-    dims: ChannelDims, t: float, value: float, method: Method, err: float
-) -> str:
-    """The row's object as json.dumps(..., indent=2) writes it in a list."""
-    return (
-        f'  {{\n    "m": {dims.m!r},\n'
-        f'    "n": {dims.n!r},\n'
-        f'    "snr_db": {_snr_db(t)!r},\n'
-        f'    "t": {t!r},\n'
-        f'    "mi_nats": {value!r},\n'
-        f'    "method": "{method.value}",\n'
-        f'    "err_estimate": {err!r}\n  }}'
-    )
-
-
-def _text_row(
-    dims: ChannelDims, t: float, value: float, method: Method, err: float
-) -> str:
-    return (
-        f"m={dims.m} n={dims.n} snr_db={_snr_db(t):.6g} t={t!r} "
-        f"mi_nats={value!r} method={method.value} err<={err:.3e}\n"
-    )
-
-
 def _format_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     """The `fmt` ("csv", "json" or "text") document of `rows`, each the
     fields of an EvaluationResult, as one chunk per row plus any header
     and footer, each formatted as its row comes.  The chunks join to
-    text that ends in a newline."""
+    text that ends in a newline.
+
+    Floats are written round-trip exact, except in the text format's
+    snr_db and err.  No field is NaN or infinite, so repr writes each
+    number as json.dumps does.  snr_db is -10 log10(t) + 0.0, where the
+    + 0.0 turns the negative zero at t = 1 into 0.0, and a method is
+    written as its _value_, which skips the enum's value property."""
+    log10 = math.log10
     if fmt == "csv":
         yield CSV_HEADER + "\n"
-        for row in rows:
-            yield _csv_row(*row)
+        for dims, t, value, method, err in rows:
+            yield (
+                f"{dims.m},{dims.n},{-10.0 * log10(t) + 0.0!r},{t!r},{value!r},"
+                f"{method._value_},{err!r}\n"
+            )
     elif fmt == "json":
+        # each row's object as json.dumps(..., indent=2) writes it in a list
         sep = "[\n"
-        for row in rows:
-            yield sep + _json_row(*row)
+        for dims, t, value, method, err in rows:
+            yield (
+                f'{sep}  {{\n    "m": {dims.m!r},\n'
+                f'    "n": {dims.n!r},\n'
+                f'    "snr_db": {-10.0 * log10(t) + 0.0!r},\n'
+                f'    "t": {t!r},\n'
+                f'    "mi_nats": {value!r},\n'
+                f'    "method": "{method._value_}",\n'
+                f'    "err_estimate": {err!r}\n  }}'
+            )
             sep = ",\n"
         yield "[]\n" if sep == "[\n" else "\n]\n"
     else:
-        for row in rows:
-            yield _text_row(*row)
+        for dims, t, value, method, err in rows:
+            yield (
+                f"m={dims.m} n={dims.n} snr_db={-10.0 * log10(t) + 0.0:.6g} t={t!r} "
+                f"mi_nats={value!r} method={method._value_} err<={err:.3e}\n"
+            )
 
 
 def _resolve_grid(args) -> tuple[list[float], GridMode]:

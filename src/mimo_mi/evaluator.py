@@ -19,6 +19,22 @@ routes, and each gives a rigorous err_estimate:
   table's common denominator, with t = p/q the exact ratio of the input
   float, then combined with e^t E1(t) = man 2^exp at just enough bits for
   their cancellation, in one integer division that rounds once.
+
+The certificate.  The Stieltjes remainder test costs a float Horner sum
+and three lgamma calls a point, and below about t = 0.5 it always fails,
+so a cheaper test sends such points straight to the exact route.  The
+remainder test fails where ln |B|_1(t) - ln t - 2 ln L~(t) > ln(1e-14 mn)
+- ln(t + (m+n)/2), with L~(t) the largest term of L_128(-t).  Now
+|B|_1(t) >= |b_0| = m, and each term of L_128(-t) is C(128, k) t^k / k!
+<= (128 t)^k / (k!)^2 <= I_0(2 sqrt(128 t)) <= e^(2 sqrt(128 t)), so the
+test fails wherever
+  ln m - ln t - 4 sqrt(128 t) > ln(1e-14 mn) - ln(t + (m+n)/2) + 1,
+that is, wherever ln(1 + (m+n)/(2t)) - ln(1e-14 n) - 1 > 4 sqrt(128 t).
+Each side of either test is a sum of a few logs, lgammas, square roots
+and products, each below 2e5 in size and off by a few ulps at most, so
+their rounding is below 1e-9 nats, which the 1 nat covers.  A point
+skips only a test whose outcome is already known, and its bytes do not
+change.
 """
 
 from __future__ import annotations
@@ -45,11 +61,16 @@ _MAX_DEGREE = 2 * len(NODES) - 2
 # takes: the combination is then good to about 2^-62 of the lower bound.
 _EXACT_BITS = 64
 # Most bits the exact route may take; its cost grows about quadratically
-# (1.6 s at 77,000 bits).  Only tables the Stieltjes route cannot take,
-# n + m - 2 > _MAX_DEGREE, reach it, at huge t.
+# (1.6 s at 77,000 bits).  Only tables with no Stieltjes rule reach it, at
+# huge t, since they take the exact route at every t: a rule needs beta's
+# degree at most _MAX_DEGREE, every |b_k| above a float's underflow and
+# every node's mass below its overflow.  So 1x181 at t = 1e300, and 100x150
+# and 127x127 at t = 1e100, are a ValueError, as is 1x300 at t = 1e300.
 _MAX_EXACT_BITS = 2**16
 # ln (128!), for the largest term of L_128(-t)
 _LN_FACT_M = math.lgamma(len(NODES) + 1)
+# 4 sqrt(128): twice the exponent of the certificate's bound on L_128(-t)
+_CERT_SLOPE = 4.0 * math.sqrt(len(NODES))
 # Each node as (p, e) with x_i = p / 2^e, and each weight as its integer
 # ratio, for the rule's exact Horner sums.
 _NODE_RATIOS = tuple(
@@ -76,17 +97,6 @@ class EvaluationResult(NamedTuple):
     value: float
     method: Method
     err_estimate: float
-
-
-def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
-    """(num, den) with num / den == sum nums[k] (p/q)^k exactly, for q a
-    power of two, as in the integer ratio of a float."""
-    step = q.bit_length() - 1
-    num, shift = 0, 0
-    for c in reversed(nums):
-        shift += step
-        num = num * p + (c << shift)
-    return num, 1 << shift
 
 
 class _StieltjesRule(NamedTuple):
@@ -131,7 +141,7 @@ def _stieltjes_rule(
     beta = [c if k % 2 else -c for k, c in enumerate(b_num)][::-1]
     terms = []
     for (p, step), (w_num, w_den) in zip(_NODE_RATIOS[:keep], _WEIGHT_RATIOS):
-        # beta(x_i) = num / 2^shift exactly, as in _horner
+        # beta(x_i) = num / 2^shift exactly
         num, shift = 0, 0
         for c in beta:
             shift += step
@@ -205,11 +215,17 @@ def _stieltjes(
 def _exact(table: CoefficientTable, t: float, lower: float) -> tuple[float, float]:
     """(value, err_estimate) from the exact A(t) and B(t) and e^t E1(t) at
     just enough bits, rounded once."""
+    # A(t) = num / den and B(t) = num_b / den exactly, by one Horner loop on
+    # t = p / 2^step; a has one coefficient fewer than b
     p, q = t.as_integer_ratio()
-    num_a, den_a = _horner(table.a_num, p, q)
-    num_b, den_b = _horner(table.b_num, p, q)
-    den = table.denominator * den_b
-    num = num_a * (den_b // den_a)
+    step = q.bit_length() - 1
+    b_rev = reversed(table.b_num)
+    num, num_b, shift = 0, next(b_rev) << step, step
+    for c_a, c_b in zip(reversed(table.a_num), b_rev):
+        shift += step
+        num = num * p + (c_a << shift)
+        num_b = num_b * p + (c_b << shift)
+    den = table.denominator << shift
     # |A| < 2^bits_a and |B| e^t E1(t) < 2^bits_b, while lower >= 2^bits_lower.
     # e^t E1(t) < 1/t <= 2^e1_bits, and below t = 1 also e^t E1(t) <
     # ln(1 + 1/t) < ln 2 - ln t (Abramowitz & Stegun 5.1.20), whose exponent
@@ -241,8 +257,9 @@ def _round_up_2_digits(x: float) -> float:
     """The least two-significant-digit decimal >= x > 0, as a float: still
     a bound, without digits the bound does not mean."""
     text = f"{x:.1e}"
-    if float(text) >= x:
-        return float(text)
+    y = float(text)
+    if y >= x:
+        return y
     digits, _, exp = text.partition("e")
     # 5.7e-16 -> 58e-17, 9.9e-16 -> 100e-17
     return float(f"{round(float(digits) * 10) + 1}e{int(exp) - 1}")
@@ -254,15 +271,22 @@ def _closed_form_rows(
     """(dims, t, value, method, err_estimate), the fields of an
     EvaluationResult, for each t of `ts` in order, each finite and
     positive: one table's point loop, which looks its Stieltjes rule up
-    once."""
+    once and skips its remainder test where the certificate in the
+    module docstring shows that the test fails."""
     dims = table.dims
     mn, half = dims.m * dims.n, (dims.m + dims.n) / 2.0
     rule = _stieltjes_rule(dims, table.b_num, table.denominator)
+    # The certificate fires where ln(1 + half/t) - ln(1e-14 n) - 1 exceeds
+    # 4 sqrt(128 t); cut is its part that does not depend on t.
+    cut = -math.log(_STIELTJES_REL * dims.n) - 1.0
+    log1p, sqrt, closed_form = math.log1p, math.sqrt, Method.CLOSED_FORM
     for t in ts:
         lower = mn / (t + half)
-        routed = None if rule is None else _stieltjes(rule, dims, t, lower)
-        value, err = routed or _exact(table, t, lower)
-        yield dims, t, value, Method.CLOSED_FORM, _round_up_2_digits(err)
+        if rule is None or log1p(half / t) + cut > _CERT_SLOPE * sqrt(t):
+            value, err = _exact(table, t, lower)
+        else:
+            value, err = _stieltjes(rule, dims, t, lower) or _exact(table, t, lower)
+        yield dims, t, value, closed_form, _round_up_2_digits(err)
 
 
 def evaluate_closed_form(table: CoefficientTable, t: float) -> EvaluationResult:
@@ -329,10 +353,12 @@ def _grid_to_ts(grid: Sequence[float], mode: GridMode) -> list[float]:
                 t = math.inf
         else:
             t = float(g)
-        try:
-            _check_t(t)
-        except ValueError as exc:
-            raise ValueError(f"grid point {g}: {exc}") from None
+        # false for 0, negatives, infinities and NaN, which _check_t names
+        if not 0.0 < t < math.inf:
+            try:
+                _check_t(t)
+            except ValueError as exc:
+                raise ValueError(f"grid point {g}: {exc}") from None
         ts.append(t)
     return ts
 

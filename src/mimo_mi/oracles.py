@@ -275,6 +275,33 @@ _MC_BLOCK_DRAWS = 2**20
 # Most chunks (`workers`) one call may split its samples into: each chunk
 # is a list entry and a future, built before any sample is drawn.
 _MC_MAX_WORKERS = 1024
+# Most gamma draws, samples * (2m - 1), one call may make.  One worker
+# makes 1.7e7 to 2.8e7 a second (2x2 to 8x8, a 2-core Xeon), so this
+# allows 6 to 10 minutes; a larger request would run for hours, or for
+# centuries, before it returned.
+_MC_MAX_DRAWS = 10**10
+
+
+def _check_mc_request(
+    dims: ChannelDims, samples: int, seed: int, workers: int
+) -> None:
+    """Raise ValueError unless monte_carlo_mi can take this many samples,
+    seed and workers at these dims; it checks this before any thread
+    starts or any sample is drawn."""
+    if samples < 100:
+        raise ValueError(f"need samples >= 100, got {samples}")
+    if not 1 <= workers <= samples:
+        raise ValueError(f"need 1 <= workers <= samples={samples}, got {workers}")
+    if workers > _MC_MAX_WORKERS:
+        raise ValueError(f"need workers <= {_MC_MAX_WORKERS}, got {workers}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    draws = samples * (2 * dims.m - 1)
+    if draws > _MC_MAX_DRAWS:
+        raise ValueError(
+            f"{samples} samples at m={dims.m} take {draws} gamma draws"
+            f" (2m - 1 each), more than the {_MC_MAX_DRAWS} allowed"
+        )
 
 
 def _chan_merge(a, b):
@@ -371,17 +398,11 @@ def monte_carlo_mi(
     _MC_MAX_WORKERS), run on at most os.cpu_count() threads.  The chunk
     reduction runs in fixed index order so the report is bit-identical
     across runs and thread schedules for the same (seed, samples, workers).
-    Raises ValueError if the mean or its standard error is not finite.
+    Raises ValueError if the request would take more than _MC_MAX_DRAWS
+    gamma draws, or if the mean or its standard error is not finite.
     """
     _check_t(t)
-    if samples < 100:
-        raise ValueError(f"need samples >= 100, got {samples}")
-    if not 1 <= workers <= samples:
-        raise ValueError(f"need 1 <= workers <= samples={samples}, got {workers}")
-    if workers > _MC_MAX_WORKERS:
-        raise ValueError(f"need workers <= {_MC_MAX_WORKERS}, got {workers}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
+    _check_mc_request(dims, samples, seed, workers)
     base, rem = divmod(samples, workers)
     counts = [base + 1 if c < rem else base for c in range(workers)]
     # ln det(I + H H*/t) ~ tr(H H*)/t at large t, whose squared deviations

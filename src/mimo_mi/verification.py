@@ -13,6 +13,7 @@ from typing import NamedTuple
 from .coefficients import ChannelDims, build_table
 from .evaluator import evaluate_closed_form, render_expression
 from .oracles import (
+    _check_mc_request,
     _quad,
     density_moment,
     lemma1_check,
@@ -49,6 +50,10 @@ _LNT_N_MAX = 8
 # this many standard errors from the closed form.
 _MC_SIGMA = 4.0
 _MC_WORKERS = 4
+# The three-way check's default grid: every m <= 4 with m <= n <= m + 3.
+_THREE_WAY_DIMS = tuple(
+    ChannelDims(m, n) for m in range(1, 5) for n in range(m, m + 4)
+)
 
 
 class CheckResult(NamedTuple):
@@ -177,6 +182,11 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"need a finite rel_tol > 0, got {rel_tol}")
 
 
+def _check_mc_args(mc_samples: int, seed: int, dims) -> None:
+    for d in dims:
+        _check_mc_request(d, mc_samples, seed, _MC_WORKERS)
+
+
 def check_three_way(
     rel_tol: float = 1e-8,
     mc_samples: int = 200_000,
@@ -186,15 +196,17 @@ def check_three_way(
 ) -> CheckResult:
     """Closed form vs quadrature vs Monte Carlo at every dims x ts point.
 
-    The default grid is every m <= 4 with m <= n <= m + 3.  The detail
-    gives the largest relative difference between the closed form and the
-    quadrature, and how far Monte Carlo strays from the closed form, each
-    with the point where it occurs.  Raises ValueError unless rel_tol is
-    finite and positive.
+    The default grid is _THREE_WAY_DIMS.  The detail gives the largest
+    relative difference between the closed form and the quadrature, and
+    how far Monte Carlo strays from the closed form, each with the point
+    where it occurs.  Raises ValueError unless rel_tol is finite and
+    positive and Monte Carlo can take mc_samples and seed at every dims,
+    before any point is computed.
     """
     _check_rel_tol(rel_tol)
     if dims is None:
-        dims = [ChannelDims(m, n) for m in range(1, 5) for n in range(m, m + 4)]
+        dims = _THREE_WAY_DIMS
+    _check_mc_args(mc_samples, seed, dims)
     worst_quad = (0.0, "")
     worst_mc = (0.0, "")
     for d in dims:
@@ -222,7 +234,9 @@ def check_three_way(
 def run_all(
     rel_tol: float = 1e-8, mc_samples: int = 200_000, seed: int = 20240817
 ) -> list[CheckResult]:
-    _check_rel_tol(rel_tol)  # before the checks that do not use it
+    # before the checks that do not use them
+    _check_rel_tol(rel_tol)
+    _check_mc_args(mc_samples, seed, _THREE_WAY_DIMS)
     return [
         check_reference_expressions(),
         check_orthogonality(),

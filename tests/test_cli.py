@@ -617,6 +617,22 @@ class TestStreamedOutput:
         small, large = peak("-20:29.9:0.1"), peak("-20:29.98:0.02")  # 500, 2,500
         assert (large - small) / 2000 < 100
 
+    @pytest.mark.parametrize(
+        "dims,samples,draws",
+        [
+            (("-m", "2", "-n", "2"), "99999999999999999999", 299999999999999999997),
+            (("-m", "1000000000", "-n", "1000000000"), "100", 199999999900),
+        ],
+    )
+    def test_samples_beyond_draw_cap_exit_1(self, capsys, dims, samples, draws):
+        code, out, err = invoke(capsys, "mc", *dims, "--t", "1", "--samples", samples)
+        assert (code, out) == (1, "")
+        m = dims[1]
+        assert err == (
+            f"mimo-mi: error: {samples} samples at m={m} take {draws} gamma draws"
+            " (2m - 1 each), more than the 10000000000 allowed\n"
+        )
+
 
 class TestVerify:
     def test_targeted_verify_passes(self, capsys):
@@ -659,6 +675,26 @@ class TestVerify:
         )
         assert (code, err) == (0, "")
         assert out.startswith("PASS  three-way agreement")
+
+    @pytest.mark.parametrize("dims", [(), ("-m", "2", "-n", "2", "--t", "1")])
+    def test_samples_beyond_draw_cap_exit_1(self, capsys, monkeypatch, dims):
+        from mimo_mi import verification
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before validation")
+
+        # every oracle the checks call
+        oracles = (
+            "_quad", "density_moment", "lemma1_check", "lnt_identity_check",
+            "one_point_density", "telatar_quadrature",
+        )
+        for name in oracles:
+            monkeypatch.setattr(verification, name, no_quadrature)
+        code, out, err = invoke(
+            capsys, "verify", *dims, "--mc-samples", "99999999999999999999"
+        )
+        assert (code, out) == (1, "")
+        assert "gamma draws (2m - 1 each), more than the 10000000000 allowed" in err
 
     def test_usage_error_exit_1(self, capsys):
         code, _, err = invoke(capsys, "verify", "-m", "2")

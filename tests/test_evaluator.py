@@ -260,6 +260,58 @@ class TestAccuracy:
         assert routed == [False, False, True, True]
 
 
+class TestCertificate:
+    """The point loop skips the Stieltjes remainder test only where that
+    test fails."""
+
+    @staticmethod
+    def _tested(table, ts, monkeypatch):
+        """The t of `ts` whose remainder test the point loop runs."""
+        tested = []
+        real = evaluator._stieltjes
+
+        def recording(rule, dims, t, lower):
+            tested.append(t)
+            return real(rule, dims, t, lower)
+
+        monkeypatch.setattr(evaluator, "_stieltjes", recording)
+        list(evaluator._closed_form_rows(table, ts))
+        monkeypatch.undo()
+        return tested
+
+    @pytest.mark.parametrize("m,n", _ACCURACY_DIMS)
+    def test_skips_only_tests_that_fail(self, m, n, monkeypatch):
+        table = build_table(ChannelDims(m, n))
+        # an int t, as library callers may pass, takes the same loop
+        ts = _ACCURACY_TS + [5e-324, 1e-300, 1, 10]
+        tested = set(self._tested(table, ts, monkeypatch))
+        skipped = [t for t in ts if t not in tested]
+        assert skipped and 5e-324 in skipped and 1 in tested
+        rule = evaluator._stieltjes_rule(table.dims, table.b_num, table.denominator)
+        for t in skipped:
+            lower = m * n / (t + (m + n) / 2)
+            assert evaluator._stieltjes(rule, table.dims, t, lower) is None, t
+
+    def test_sweep_runs_133_remainder_tests(self, monkeypatch):
+        # without the certificate, all 281 points of the sweep run it
+        ts = evaluator._grid_to_ts(cli._parse_grid("-30:40:0.25"), GridMode.SNR_DB)
+        assert len(ts) == 281
+        assert len(self._tested(build_table(ChannelDims(16, 16)), ts, monkeypatch)) == 133
+
+
+class TestRouteDomain:
+    @pytest.mark.parametrize(
+        "m,n,has_rule",
+        # n + m <= 256, but each of the first three has a |b_k| that
+        # underflows a float (1x181's b_180 = -1/180!, about 5e-330)
+        [(127, 127, False), (100, 150, False), (1, 181, False), (60, 60, True)],
+    )
+    def test_tables_without_a_stieltjes_rule(self, m, n, has_rule):
+        table = build_table(ChannelDims(m, n))
+        rule = evaluator._stieltjes_rule(table.dims, table.b_num, table.denominator)
+        assert (rule is not None) == has_rule
+
+
 class TestGaussLaguerreRule:
     def test_constants_are_mpmath_rule_rounded(self):
         with mpmath.workdps(40):
@@ -269,15 +321,27 @@ class TestGaussLaguerreRule:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 7), (16, 16), (16, 32)])
     def test_terms_are_w_beta_rounded_once(self, m, n):
-        """The rule's inline Horner sums give w_i beta(x_i) as _horner does."""
+        """The rule's inline Horner sums give w_i beta(x_i) as a separate
+        exact Horner sum does."""
         table = build_table(ChannelDims(m, n))
         rule = evaluator._stieltjes_rule.__wrapped__(
             table.dims, table.b_num, table.denominator
         )
         beta = [c if k % 2 else -c for k, c in enumerate(table.b_num)]
+
+        def horner(nums, p, q):
+            # (num, den) with num / den == sum nums[k] (p/q)^k exactly, for q
+            # a power of two
+            step = q.bit_length() - 1
+            num, shift = 0, 0
+            for c in reversed(nums):
+                shift += step
+                num = num * p + (c << shift)
+            return num, 1 << shift
+
         want = []
         for x, w in zip(rule.nodes, WEIGHTS):
-            num, den = evaluator._horner(beta, *x.as_integer_ratio())
+            num, den = horner(beta, *x.as_integer_ratio())
             w_num, w_den = w.as_integer_ratio()
             want.append(num * w_num / (den * w_den * table.denominator))
         assert rule.terms == tuple(want)

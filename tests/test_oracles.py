@@ -365,6 +365,27 @@ class TestMonteCarloWorkers:
         with pytest.raises(ValueError, match=f"need workers <= {cap}"):
             monte_carlo_mi(ChannelDims(2, 2), 1.0, 4 * cap, workers=cap + 1)
 
+    @pytest.mark.parametrize(
+        "m,samples",
+        # 3e20 draws at 2x2, and 2e11 at m = 10^9, whose first block alone
+        # would take 8 GB
+        [(2, 99999999999999999999), (10**9, 100), (4, 10**10 // 7 + 1)],
+    )
+    def test_draw_cap_rejected_before_any_chunk(self, monkeypatch, m, samples):
+        def no_chunk(*args):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(oracles, "_mc_chunk", no_chunk)
+        draws = samples * (2 * m - 1)
+        with pytest.raises(ValueError, match=f"take {draws} gamma draws"):
+            monte_carlo_mi(ChannelDims(m, m), 1.0, samples)
+
+    def test_draw_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_mc_chunk", lambda *args: (args[2], 1.0, 1.0))
+        cap = oracles._MC_MAX_DRAWS
+        rep = monte_carlo_mi(ChannelDims(3, 3), 1.0, cap // 5, workers=2)
+        assert rep.samples * 5 == cap
+
     def test_pool_size_does_not_change_report(self, monkeypatch):
         kw = dict(t=1.0, samples=10_000, seed=42, workers=4)
         threaded = monte_carlo_mi(ChannelDims(3, 4), **kw)
