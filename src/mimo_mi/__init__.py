@@ -2,7 +2,7 @@
 
 Exact closed-form evaluation (finite polynomials in the inverse SNR t
 with a common e^t Ei(-t) factor and exactly computed rational
-coefficients), cross-validated against adaptive quadrature of the
+coefficients), cross-validated against double-exponential quadrature of the
 eigenvalue-density representation and Monte Carlo over random channel
 matrices.
 """

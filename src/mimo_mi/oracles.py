@@ -1,12 +1,15 @@
 """Independent ground-truth computations for the closed form.
 
 Three oracles that share no code path with the exact-coefficient route:
-the eigenvalue-density integral representation evaluated by adaptive
-quadrature, the one-point eigenvalue density itself (two algebraic
-forms), and Monte Carlo over Rayleigh channels, whose eigenvalues are
-drawn from the bidiagonal Laguerre model of H H* in O(m) per sample.
-Also numerical checks of the log-weighted gamma integral identity and
-the log-term cancellation identity that the derivation rests on.
+the eigenvalue-density integral representation evaluated by
+double-exponential quadrature, the one-point eigenvalue density itself
+(two algebraic forms), and Monte Carlo over Rayleigh channels, whose
+eigenvalues are drawn from the bidiagonal Laguerre model of H H* in O(m)
+per sample.  Also numerical checks of the log-weighted gamma integral
+identity and the log-term cancellation identity that the derivation
+rests on.  Every integral here is over [a, inf) of a function that is
+smooth on (a, inf), with any singularity at a alone: the one integrator,
+_quad, is built for that class and raises ConvergenceError outside it.
 """
 
 from __future__ import annotations
@@ -23,118 +26,100 @@ from .special_functions import _check_t, laguerre_eval, upper_gamma_int
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
 
 
-# QUADPACK's qk21 rule on [-1, 1]: the non-negative Kronrod nodes in
-# decreasing order (the odd-indexed ones are the 10-point Gauss nodes),
-# their Kronrod weights, and the Gauss weights of _XK[1::2].
-_XK = (
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-    0.0,
-)
-_WK = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077208980457309,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-# Added to the error estimate: the rounding of the integrand values and
-# of the sum over subintervals, which |K21 - G10| does not see.
+# _quad's level-0 step and node indices, u = k h: u in [-5, 7] (193 nodes),
+# widened 16 nodes at a time up to u in [-6, 12].
+_DE_STEP = 1 / 16
+_DE_START = (-80, 112)
+_DE_LIMITS = (-96, 192)
+# Most levels one _quad call may add after level 0 before it gives up.
+_MAX_LEVELS = 6
+# The error estimate's roundoff floor, in ulps of the sum of |terms|.
 _ROUNDOFF_ULPS = 50
-# Most subintervals one _quad call may open before it gives up.
-_MAX_SUBDIVISIONS = 500
 
 
 def _quad(
-    f, a: float, b: float, rel_tol: float = 1e-12, abs_tol: float = 1e-13
+    f, a: float, rel_tol: float = 1e-12, abs_tol: float = 1e-13, scale: float = 1.0
 ) -> tuple[float, float]:
-    """(integral of f over [a, b], error estimate) by adaptive Gauss-Kronrod.
+    """(integral of f over [a, inf), error estimate) by the double-exponential
+    rule (Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput.
+    Appl. Math. 127, 2001): x = a + scale exp(u - e^-u), trapezoidal in u.
 
-    f takes and returns numpy arrays.  An infinite b is mapped to [0, 1)
-    by x = a + u/(1-u).  Each pass applies the 21-point Kronrod rule and
-    its embedded 10-point Gauss rule to every open subinterval in one call
-    of f; a subinterval is accepted once |K21 - G10| is within its width's
-    share of max(abs_tol, rel_tol |total|), and the others are halved.
-    Raises ConvergenceError if f is not finite at a node or more than
-    _MAX_SUBDIVISIONS subintervals are needed.
+    Its scope is an f smooth on (a, inf) that decays like e^(-x/scale) times
+    powers, with any singularity at a alone (x^-1/2, ln x): there the terms
+    decay double exponentially at both ends and the rule converges
+    exponentially.  Across a kink inside (a, inf) it converges slowly, and
+    the call raises ConvergenceError.
+
+    f takes and returns numpy arrays.  Level 0 is one call of f, plus one
+    on 16 more nodes while an outermost term exceeds a quarter of the
+    tolerance max(abs_tol, rel_tol |integral|).  Each later level halves the
+    step and calls f at the new midpoints alone, until the error estimate
+    |S_h - S_2h| (S_2h: every other node) plus the outermost terms is within
+    the tolerance; a roundoff floor is then added.  Raises ConvergenceError
+    if f is not finite at a node or not negligible at u = -6 or 12, or
+    after _MAX_LEVELS levels.
     """
     import numpy as np
 
-    xk = np.array(_XK)
-    nodes = np.concatenate([-xk, xk[-2::-1]])
-    weights = np.zeros((21, 2))
-    weights[:, 0] = _WK + _WK[-2::-1]
-    weights[1:10:2, 1] = _WG
-    weights[11:20:2, 1] = _WG[::-1]
-    if b == math.inf:
-        lo, hi = np.array([0.0]), np.array([1.0])
+    def terms(k, h):
+        # phi'(u) f(a + phi(u)) at u = k h, phi(u) = scale exp(u - e^-u)
+        e = np.exp(-k * h)
+        x = scale * np.exp(k * h - e)
+        fx = f(a + x)
+        if not np.all(np.isfinite(fx)):
+            raise ConvergenceError(f"integrand not finite on [{a}, inf]")
+        return fx * (x * (1.0 + e))
 
-        def g(u):
-            d = 1.0 - u
-            return f(a + u / d) / (d * d)
-
-    else:
-        lo, hi, g = np.array([float(a)]), np.array([float(b)]), f
-    span = hi[0] - lo[0]
-    value = err = 0.0
-    count = 1
+    h = _DE_STEP
+    lo, hi = _DE_START
     # f may overflow or divide by zero at extreme arguments (say lam/t at
-    # subnormal t); the isfinite check below reports that, so numpy need not.
+    # subnormal t); the isfinite check in terms reports that, so numpy need not.
     with np.errstate(all="ignore"):
+        g = terms(np.arange(lo, hi + 1), h)
         while True:
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            fx = g(mid[:, None] + half[:, None] * nodes)
-            if not np.all(np.isfinite(fx)):
-                raise ConvergenceError(f"integrand not finite on [{a}, {b}]")
-            kg = (fx @ weights) * half[:, None]
-            est = np.abs(kg[:, 0] - kg[:, 1])
-            tol = max(abs_tol, rel_tol * abs(value + kg[:, 0].sum()))
-            done = est <= tol * (2.0 * half / span)
-            value += kg[done, 0].sum()
-            err += est[done].sum()
-            if done.all():
-                err += _ROUNDOFF_ULPS * np.finfo(float).eps * abs(value)
-                return float(value), float(err)
-            lo, hi, mid = lo[~done], hi[~done], mid[~done]
-            count += len(mid)
-            if count > _MAX_SUBDIVISIONS:
+            quarter_tol = max(abs_tol, rel_tol * h * abs(g.sum())) / 4
+            if h * abs(g[0]) > quarter_tol:
+                lo -= 16
+                k = np.arange(lo, lo + 16)
+            elif h * abs(g[-1]) > quarter_tol:
+                hi += 16
+                k = np.arange(hi - 15, hi + 1)
+            else:
+                break
+            if not _DE_LIMITS[0] <= lo < hi <= _DE_LIMITS[1]:
                 raise ConvergenceError(
-                    f"quadrature on [{a}, {b}] needs more than "
-                    f"{_MAX_SUBDIVISIONS} subintervals"
+                    f"integrand on [{a}, inf] not negligible at u = "
+                    f"{_DE_LIMITS[0] * h} or {_DE_LIMITS[1] * h}"
                 )
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            g = np.concatenate([terms(k, h), g] if k[0] == lo else [g, terms(k, h)])
+        value, coarse = h * g.sum(), 2 * h * g[::2].sum()
+        mass, edge = h * np.abs(g).sum(), h * (abs(g[0]) + abs(g[-1]))
+        level = 0
+        while abs(value - coarse) + edge > max(abs_tol, rel_tol * abs(value)):
+            if level == _MAX_LEVELS:
+                raise ConvergenceError(
+                    f"quadrature on [{a}, inf] needs more than {_MAX_LEVELS} levels"
+                )
+            h, edge, coarse = h / 2, edge / 2, value
+            new = terms(np.arange(lo << level, hi << level) * 2 + 1, h)
+            value = value / 2 + h * new.sum()
+            mass = mass / 2 + h * np.abs(new).sum()
+            level += 1
+    err = abs(value - coarse) + edge + _ROUNDOFF_ULPS * np.finfo(float).eps * mass
+    return float(value), float(err)
 
 
 def _root_weight(alpha: int, lam):
-    """sqrt(e^-lam lam^alpha / alpha!) on an array of lam > 0."""
+    """sqrt(e^-lam lam^alpha / alpha!) at numpy lam > 0, from its log
+    in long double: in float64 its terms of size ~lam cost that many ulps."""
     import numpy as np
 
-    return np.exp(0.5 * (alpha * np.log(lam) - lam - math.lgamma(alpha + 1)))
+    x = lam.astype(np.longdouble)
+    log_fact = np.log(np.arange(1, alpha + 1, dtype=np.longdouble)).sum()
+    return np.exp(0.5 * (alpha * np.log(x) - x - log_fact)).astype(float)
 
 
 def _weighted_kernel(m: int, alpha: int, lam, root_weight):
@@ -183,19 +168,31 @@ def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> 
     'sum_form' is the Laguerre sum over degrees 0..m-1; 'two_term_form'
     is the Christoffel-Darboux style expression with only three Laguerre
     factors (L of negative degree taken as zero).  Both integrate to 1.
+    Raises ValueError for a negative or NaN lam; at lam = inf both are 0.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"need lambda >= 0, got {lam}")
     if form not in _DENSITY_FORMS:
         raise ValueError(f"unknown density form {form!r}")
     alpha = dims.n - dims.m
-    if lam > 0:
-        root_weight = math.exp(
-            0.5 * (alpha * math.log(lam) - lam - math.lgamma(alpha + 1))
-        )
+    if lam == math.inf:
+        root_weight = 0.0
+    elif lam > 0:
+        import numpy as np
+
+        root_weight = float(_root_weight(alpha, np.float64(lam)))
     else:
         root_weight = float(alpha == 0)
+    if root_weight == 0.0:
+        # the sum form's recurrence gives 0 here; the two-term form's
+        # Laguerre factors may overflow, and 0 * inf is nan
+        return 0.0
     return _density(dims, lam, form, root_weight)
+
+
+def _lam_scale(dims: ChannelDims) -> float:
+    """_quad's scale for the density: 2^floor(log2 n), near its mean n."""
+    return float(1 << (dims.n.bit_length() - 1))
 
 
 def density_moment(dims: ChannelDims, power: int = 0) -> float:
@@ -205,12 +202,12 @@ def density_moment(dims: ChannelDims, power: int = 0) -> float:
     def integrand(lam):
         return lam**power * _density(dims, lam, "sum_form", _root_weight(alpha, lam))
 
-    val, _ = _quad(integrand, 0.0, math.inf)
+    val, _ = _quad(integrand, 0.0, scale=_lam_scale(dims))
     return val
 
 
 def telatar_quadrature(dims: ChannelDims, t: float) -> EvaluationResult:
-    """E[I] from the density-integral representation by adaptive quadrature.
+    """E[I] from the density-integral representation by quadrature.
 
     One integral over [0, inf) of ln(1 + lam/t) e^-lam lam^alpha K(lam),
     where K(lam) = sum_{k<m} k!/(alpha+k)! (L_k^(alpha)(lam))^2 comes from
@@ -231,7 +228,7 @@ def telatar_quadrature(dims: ChannelDims, t: float) -> EvaluationResult:
     # t) is still integrated to a relative tolerance.
     lower = m * n / (t + (m + n) / 2.0)
     abs_tol = 1e-13 * min(1.0, 1e3 * lower)
-    value, err = _quad(integrand, 0.0, math.inf, 1e-12, abs_tol)
+    value, err = _quad(integrand, 0.0, 1e-12, abs_tol, _lam_scale(dims))
     return EvaluationResult(
         dims=dims, t=t, value=value, method=Method.QUADRATURE, err_estimate=err
     )
@@ -266,11 +263,11 @@ class McReport(NamedTuple):
         )
 
 
-# Most samples drawn and reduced at once inside a chunk.  Each sample takes
-# 2m - 1 float64 draws, so for m > 16 a block shrinks to keep m x block at
-# most _MC_BLOCK_DRAWS: a chunk's memory stays bounded whatever its sample
-# count and m.
-_MC_BLOCK = 2**16
+# Most samples drawn and reduced at once inside a chunk: small enough to stay
+# in cache (7 rows of 64 KiB at 4x4).  Each sample takes 2m - 1 float64 draws,
+# so for m > 128 a block shrinks to keep m x block at most _MC_BLOCK_DRAWS:
+# a chunk's memory stays bounded whatever its sample count and m.
+_MC_BLOCK = 2**13
 _MC_BLOCK_DRAWS = 2**20
 # Most chunks (`workers`) one call may split its samples into: each chunk
 # is a list entry and a future, built before any sample is drawn.
@@ -330,10 +327,13 @@ def _log_det_bidiagonal(d2, s2, t: float):
     x = d2[0] / t
     total = np.log1p(x)
     r = np.zeros_like(x)
+    log = np.empty_like(x)
     for i in range(1, len(d2)):
-        r = s2[i - 1] * (1.0 + r) / (t * (1.0 + x))
-        x = d2[i] / t + r
-        total += np.log1p(x)
+        # r = s2[i-1] (1 + r) / (t (1 + x)), then x = d2[i]/t + r, in place
+        np.multiply(np.add(r, 1.0, out=r), s2[i - 1], out=r)
+        np.divide(r, np.multiply(np.add(x, 1.0, out=x), t, out=x), out=r)
+        np.add(np.divide(d2[i], t, out=x), r, out=x)
+        total += np.log1p(x, out=log)
     return total
 
 
@@ -354,9 +354,9 @@ def _mc_chunk(
     with B[i, i]^2 ~ Gamma(n - i) and B[i, i-1]^2 ~ Gamma(m - i), all
     independent (chi^2_2k / 2 = Gamma(k) carries the unit entry variance).
     Each sample costs 2m - 1 gamma draws and an O(m) pivot recurrence.
-    Samples are drawn and reduced in blocks of _MC_BLOCK, fewer for m > 16
-    (see _MC_BLOCK_DRAWS).  The exact factor 2^scale keeps the squared
-    deviations clear of underflow where ln det is tiny (large t).
+    Samples are drawn into two buffers that each block of _MC_BLOCK (fewer
+    for m > 128) reuses, and reduced there.  The exact factor 2^scale keeps
+    the squared deviations clear of underflow where ln det is tiny (large t).
     """
     import numpy as np
 
@@ -371,9 +371,9 @@ def _mc_chunk(
     for start in range(0, count, block):
         size = min(block, count - start)
         for i in range(m):
-            d2[i, :size] = gen.standard_gamma(n - i, size)
+            gen.standard_gamma(n - i, out=d2[i, :size])
         for i in range(m - 1):
-            s2[i, :size] = gen.standard_gamma(m - 1 - i, size)
+            gen.standard_gamma(m - 1 - i, out=s2[i, :size])
         # At t <~ 1e-307, d2/t overflows; monte_carlo_mi rejects the
         # resulting inf or nan, so numpy need not warn about it.
         with np.errstate(all="ignore"):
@@ -454,7 +454,7 @@ def lemma1_check(k: int, t: float) -> tuple[float, float]:
         damp = np.exp(-x)
         return np.where(damp > 0, x**k * np.log(x) * damp, 0.0)
 
-    lhs, _ = _quad(integrand, t, math.inf)
+    lhs, _ = _quad(integrand, t)
     return lhs, _log_gamma_integral(k, t)
 
 

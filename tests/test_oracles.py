@@ -41,6 +41,27 @@ class TestOnePointDensity:
         with pytest.raises(ValueError):
             one_point_density(ChannelDims(2, 2), -0.1)
 
+    @pytest.mark.parametrize("form", ["sum_form", "two_term_form"])
+    def test_nan_errors_and_inf_is_zero(self, form):
+        for m, n in ((1, 1), (2, 5), (4, 4)):
+            with pytest.raises(ValueError, match="need lambda >= 0, got nan"):
+                one_point_density(ChannelDims(m, n), math.nan, form)
+            assert one_point_density(ChannelDims(m, n), math.inf, form) == 0.0
+            assert one_point_density(ChannelDims(m, n), 1e300, form) == 0.0
+
+    def test_matches_gamma_density_at_1xn(self):
+        # at m = 1 the density is e^-lam lam^alpha / alpha!, whose log has
+        # terms of size ~lam: summed in float64 they cost ~lam ulps
+        worst = 0.0
+        with mpmath.workdps(40):
+            for alpha in (0, 3, 7, 40):
+                for lam in (0.5, 5.0, 50.0, 300.0, 600.0):
+                    ref = mpmath.exp(-lam) * mpmath.mpf(lam) ** alpha
+                    ref /= mpmath.factorial(alpha)
+                    got = one_point_density(ChannelDims(1, 1 + alpha), lam)
+                    worst = max(worst, float(abs(got - ref) / ref))
+        assert worst <= 5e-16
+
     def test_unknown_form_errors(self):
         with pytest.raises(ValueError):
             one_point_density(ChannelDims(2, 2), 1.0, "nope")
@@ -62,18 +83,18 @@ class TestOnePointDensity:
 
 
 class TestQuad:
-    """The adaptive Gauss-Kronrod integrator, against exact values and
-    scipy's QUADPACK."""
+    """The double-exponential integrator on [a, inf), against exact values
+    and scipy's QUADPACK."""
 
     def test_polynomial_exact(self, monkeypatch):
-        # degree 19 is within the Gauss rule's exactness, so one pass suffices
-        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 1)
+        # sum c_i x^i e^-x integrates to sum c_i i!; level 0 suffices
+        monkeypatch.setattr(oracles, "_MAX_LEVELS", 0)
         coeffs = [Fraction((-1) ** i * (i + 2), i + 1) for i in range(20)]
-        exact = sum(c * Fraction(3) ** (i + 1) / (i + 1) for i, c in enumerate(coeffs))
+        exact = sum(c * math.factorial(i) for i, c in enumerate(coeffs))
         val, err = oracles._quad(
-            lambda x: np.polynomial.polynomial.polyval(x, [float(c) for c in coeffs]),
+            lambda x: np.polynomial.polynomial.polyval(x, [float(c) for c in coeffs])
+            * np.exp(-x),
             0.0,
-            3.0,
         )
         assert type(val) is float and type(err) is float
         assert val == pytest.approx(float(exact), rel=1e-14)
@@ -82,7 +103,7 @@ class TestQuad:
     @pytest.mark.parametrize("k", [0, 3, 12])
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     def test_log_gamma_integral(self, k, t):
-        val, err = oracles._quad(lambda x: x**k * np.exp(-x) * np.log(x), t, math.inf)
+        val, err = oracles._quad(lambda x: x**k * np.exp(-x) * np.log(x), t)
         exact = oracles._log_gamma_integral(k, t)
         assert abs(val - exact) <= max(err, 1e-13 * abs(exact))
         assert err <= 1e-11 * abs(exact)
@@ -92,16 +113,24 @@ class TestQuad:
     @pytest.mark.parametrize(
         "f,exact",
         [
-            (np.sqrt, 2 / 3),
-            (lambda x: np.sqrt(np.abs(x - 1 / 3)), 2 / 3 * ((1 / 3) ** 1.5 + (2 / 3) ** 1.5)),
+            (lambda x: np.exp(-x) / np.sqrt(x), math.sqrt(math.pi)),
+            (lambda x: np.log(x) * np.exp(-x), -np.euler_gamma),
         ],
+        ids=["inv_sqrt", "log"],
     )
     def test_err_estimate_covers_error_within_tolerance(self, f, exact):
-        # kinks need many subintervals; the estimate must still cover the
-        # actual error (roundoff included) and sum to within the tolerance
-        val, err = oracles._quad(f, 0.0, 1.0, rel_tol=1e-12)
-        roundoff = oracles._ROUNDOFF_ULPS * np.finfo(float).eps * exact
-        assert abs(val - exact) <= err <= 1e-12 * exact + roundoff
+        # integrable singularities at a converge, and the estimate covers
+        # the actual error (roundoff included) within the tolerance
+        val, err = oracles._quad(f, 0.0, rel_tol=1e-12)
+        roundoff = oracles._ROUNDOFF_ULPS * np.finfo(float).eps * abs(exact)
+        assert abs(val - exact) <= 1e-13 * abs(exact)
+        assert abs(val - exact) <= err <= 1e-12 * abs(exact) + roundoff
+
+    def test_interior_kink_is_a_convergence_error(self):
+        # the rule converges only algebraically across a kink inside
+        # (a, inf): an error, not a wrong value
+        with pytest.raises(ConvergenceError, match="needs more than 6 levels"):
+            oracles._quad(lambda x: np.sqrt(np.abs(x - 1 / 3)) * np.exp(-x), 0.0)
 
     def test_exact_zero_meets_abs_tol(self):
         val, err = oracles._quad(
@@ -110,21 +139,34 @@ class TestQuad:
             * oracles.laguerre_eval(2, 2, x)
             * oracles.laguerre_eval(5, 2, x),
             0.0,
-            math.inf,
             abs_tol=1e-12,
         )
         assert abs(val) <= err <= 1e-12
 
     def test_too_few_subdivisions(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_MAX_SUBDIVISIONS", 3)
-        with pytest.raises(ConvergenceError, match="needs more than 3 subintervals"):
-            oracles._quad(np.sqrt, 0.0, 1.0)
+        # e^-x cos(20 x) needs four levels after level 0
+        def f(x):
+            return np.exp(-x) * np.cos(20 * x)
+
+        val, _ = oracles._quad(f, 0.0)
+        assert val == pytest.approx(1 / 401, rel=1e-13)
+        monkeypatch.setattr(oracles, "_MAX_LEVELS", 3)
+        with pytest.raises(ConvergenceError, match="needs more than 3 levels"):
+            oracles._quad(f, 0.0)
+
+    def test_range_widens_until_the_ends_are_negligible(self):
+        # e^-x/300 is far from negligible at u = 7 (x = 1096); e^-x/1e4
+        # is still not at u = 12 (x = 162755)
+        val, err = oracles._quad(lambda x: np.exp(-x / 300), 0.0)
+        assert abs(val - 300) <= err <= 1e-12 * 300
+        with pytest.raises(ConvergenceError, match="not negligible at u = -6.0 or 12.0"):
+            oracles._quad(lambda x: np.exp(-x / 1e4), 0.0)
 
     def test_non_finite_integrand(self):
         with pytest.raises(ConvergenceError, match="not finite"):
-            oracles._quad(lambda x: np.where(x > 0.5, np.inf, x), 0.0, 1.0)
+            oracles._quad(lambda x: np.where(x > 0.5, np.inf, x), 0.0)
         with pytest.raises(ConvergenceError, match="not finite"):
-            oracles._quad(lambda x: np.full_like(x, np.nan), 0.0, math.inf)
+            oracles._quad(lambda x: np.full_like(x, np.nan), 0.0)
 
     def test_subnormal_t_is_a_convergence_error(self):
         # lam / t overflows at the nodes: reported once, with no numpy
@@ -172,17 +214,50 @@ class TestTelatarAgainstReference:
             assert abs(mpmath.mpf(r.value) - ref) <= r.err_estimate, (t, r)
             assert r.err_estimate <= 1e-8 * abs(r.value), (t, r)
 
+    def test_worst_error_over_small_dims(self):
+        # every m <= n <= 8 at t = 0.1 ... 10 in eighths of a decade
+        worst = 0.0
+        with mpmath.workdps(50):
+            for m in range(1, 9):
+                for n in range(m, 9):
+                    dims = ChannelDims(m, n)
+                    table = build_table(dims)
+                    for k in range(17):
+                        t = 0.1 * 10 ** (k / 8)
+                        ref = _closed_form_reference(table, t)
+                        err = abs(telatar_quadrature(dims, t).value - ref) / ref
+                        worst = max(worst, float(err))
+        assert worst <= 5e-16
+
+    @pytest.mark.parametrize("n", [2000, 4927])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 100.0])
+    def test_mass_far_from_zero(self, n, t):
+        # at 1xn the density is Gamma(n), whose mass lies near lam = n, far
+        # beyond lam = 1096 where the unscaled u range would end.  The
+        # reference is E[I] = e^t sum_{k=1}^n E_k(t), with E_(k+1)(t) =
+        # (e^-t - t E_k(t)) / k, stable for k > t.
+        r = telatar_quadrature(ChannelDims(1, n), t)
+        with mpmath.workdps(40):
+            mt = mpmath.mpf(t)
+            ek = total = mpmath.e1(mt)
+            for k in range(1, n):
+                ek = (mpmath.exp(-mt) - mt * ek) / k
+                total += ek
+            err = abs(r.value - mpmath.exp(mt) * total)
+            assert err <= r.err_estimate <= 1e-11 * r.value
+            assert err <= 1e-15 * r.value
+
     def test_one_integral_per_call(self, monkeypatch):
         calls = []
         real = oracles._quad
 
-        def counting(*args):
-            calls.append(args[1:3])
-            return real(*args)
+        def counting(f, a, *args):
+            calls.append(a)
+            return real(f, a, *args)
 
         monkeypatch.setattr(oracles, "_quad", counting)
         telatar_quadrature(ChannelDims(8, 12), 1.0)
-        assert calls == [(0.0, math.inf)]
+        assert calls == [0.0]
 
 
 class TestTelatarQuadrature:
@@ -489,7 +564,7 @@ class TestBidiagonalSampler:
             tracemalloc.stop()
         assert peak <= 1.25 * 2 * 8 * oracles._MC_BLOCK_DRAWS
 
-    def test_block_is_full_size_up_to_m_16(self, monkeypatch):
+    def test_block_is_full_size_up_to_m_128(self, monkeypatch):
         sizes = []
         log_det = oracles._log_det_bidiagonal
 
@@ -498,10 +573,24 @@ class TestBidiagonalSampler:
             return log_det(d2, s2, t)
 
         monkeypatch.setattr(oracles, "_log_det_bidiagonal", recording)
-        for m in (16, 17):
+        for m in (128, 129):
             oracles._mc_chunk(ChannelDims(m, m), 1.0, oracles._MC_BLOCK, 1, 0)
-        assert sizes[0] == (16, oracles._MC_BLOCK)
-        assert sizes[1] == (17, oracles._MC_BLOCK_DRAWS // 17)
+        assert sizes[0] == (128, oracles._MC_BLOCK)
+        assert sizes[1] == (129, oracles._MC_BLOCK_DRAWS // 129)
+        assert sizes[2] == (129, oracles._MC_BLOCK % sizes[1][1])
+
+    def test_request_memory(self):
+        # each of the two chunks holds one pair of 8,192-sample buffers
+        # (448 KiB at 4x4) and a few 64 KiB recurrence vectors at a time,
+        # whatever its 28,000 samples
+        monte_carlo_mi(ChannelDims(2, 2), 1.0, 1000, seed=1)  # warm numpy up
+        tracemalloc.start()
+        try:
+            monte_carlo_mi(ChannelDims(4, 4), 0.7, 56_000, seed=3, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 10**6
 
 
 class TestLemma1:
