@@ -1,5 +1,9 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mimo_mi import oracles
+from mimo_mi import cli, oracles
 from mimo_mi import (
     ChannelDims,
     ConvergenceError,
@@ -294,6 +298,80 @@ class TestTelatarQuadrature:
         r = telatar_quadrature(d, t)
         assert r.value == pytest.approx(exact, rel=1e-8)
         assert r.err_estimate < 1e-6 * r.value
+
+
+# The oracle documents tests/data/oracle_sha256.json pins, by key: the
+# quadrature oracle's `eval --quadrature` JSON over the small-dims grid
+# of test_worst_error_over_small_dims and at three bench-sized tables,
+# and the reprs of both density forms and the first two moments.
+_FROZEN_QUAD_TS = tuple(repr(0.1 * 10 ** (k / 8)) for k in range(17))
+_FROZEN_DENSITY_LAMS = (0.0, 0.01, 1.0, 5.0, 50.0)
+
+
+def _cli_output(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(list(argv)) == 0
+    return out.getvalue()
+
+
+def _oracle_documents() -> dict:
+    """key: document text, for every document the golden file pins."""
+    docs = {}
+    quad_points = [((m, n), _FROZEN_QUAD_TS) for m in range(1, 9) for n in range(m, 9)]
+    quad_points += [(d, ("1e-3", "1", "1e3")) for d in ((12, 24), (16, 32), (1, 2000))]
+    for (m, n), ts in quad_points:
+        docs[f"eval --quadrature {m}x{n}"] = _cli_output(
+            "eval", "-m", str(m), "-n", str(n), "--quadrature", "--t", *ts,
+            "--format", "json",
+        )
+    for m in range(1, 6):
+        for n in range(m, 6):
+            d = ChannelDims(m, n)
+            lines = [
+                f"{form} {lam!r} {one_point_density(d, lam, form)!r}\n"
+                for form in ("sum_form", "two_term_form")
+                for lam in _FROZEN_DENSITY_LAMS
+            ]
+            lines += [f"moment {p} {density_moment(d, p)!r}\n" for p in (0, 1)]
+            docs[f"density {m}x{n}"] = "".join(lines)
+    return docs
+
+
+def _line_hashes(text: str) -> str:
+    """The first 4 hex digits of each line's SHA-256, run together: enough
+    to find the first line that changed once the document's hash differs."""
+    return "".join(
+        hashlib.sha256(line.encode()).hexdigest()[:4]
+        for line in text.splitlines(keepends=True)
+    )
+
+
+def _frozen_digest(text: str) -> dict:
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "lines": _line_hashes(text)}
+
+
+class TestFrozenOracles:
+    """Every byte of the oracle documents above is pinned by its SHA-256,
+    so a change to how the density or its quadrature is computed must
+    keep each value and err_estimate exact."""
+
+    def test_documents_unchanged(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "oracle_sha256.json")
+        with open(path) as fh:
+            frozen = json.load(fh)
+        docs = _oracle_documents()
+        assert sorted(frozen) == sorted(docs)
+        for key, text in docs.items():
+            want = frozen[key]
+            if hashlib.sha256(text.encode()).hexdigest() == want["sha256"]:
+                continue
+            lines = text.splitlines(keepends=True)
+            got = _line_hashes(text)
+            for i, line in enumerate(lines):
+                if got[4 * i : 4 * i + 4] != want["lines"][4 * i : 4 * i + 4]:
+                    pytest.fail(f"{key}: line {i + 1} differs: {line!r}")
+            pytest.fail(f"{key}: {len(lines)} lines, {len(want['lines']) // 4} frozen")
 
 
 class TestThreeWayAgreement:
