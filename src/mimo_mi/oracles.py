@@ -20,6 +20,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
+import numpy as np
+
 from .coefficients import ChannelDims, coeff_c
 from .evaluator import EvaluationResult, Method
 from .special_functions import _check_t, laguerre_eval, upper_gamma_int
@@ -62,8 +64,6 @@ def _quad(
     if f is not finite at a node or not negligible at u = -6 or 12, or
     after _MAX_LEVELS levels.
     """
-    import numpy as np
-
     def terms(k, h):
         # phi'(u) f(a + phi(u)) at u = k h, phi(u) = scale exp(u - e^-u)
         e = np.exp(-k * h)
@@ -113,42 +113,73 @@ def _quad(
 
 
 def _root_weight(alpha: int, lam):
-    """sqrt(e^-lam lam^alpha / alpha!) at numpy lam > 0, from its log
-    in long double: in float64 its terms of size ~lam cost that many ulps."""
-    import numpy as np
-
-    x = lam.astype(np.longdouble)
+    """sqrt(e^-lam lam^alpha / alpha!) at lam >= 0, in long double, from
+    its log: in float64 its terms of size ~lam cost that many ulps."""
+    x = np.asarray(lam, dtype=np.longdouble)
+    if not alpha:
+        return np.exp(-0.5 * x)
     log_fact = np.log(np.arange(1, alpha + 1, dtype=np.longdouble)).sum()
-    return np.exp(0.5 * (alpha * np.log(x) - x - log_fact)).astype(float)
+    with np.errstate(divide="ignore"):
+        return np.exp(0.5 * (alpha * np.log(x) - x - log_fact))
 
 
-def _weighted_kernel(m: int, alpha: int, lam, root_weight):
+# Every 8 steps, _weighted_kernel scales down the nodes whose running sum
+# of squares exceeds this; the 8 steps to the next check cannot overflow it.
+_RESCALE_AT = 2.0**400
+
+
+def _weighted_kernel(m: int, alpha: int, lam):
     """e^-lam lam^alpha K(lam), K(lam) = sum_{k<m} k!/(alpha+k)! L_k^(alpha)(lam)^2,
-    given root_weight = sqrt(e^-lam lam^alpha / alpha!).
+    at lam >= 0, a float or a numpy array.
 
     One pass of the three-term recurrence of the orthonormal polynomials
-    l_k = sqrt(k!/(alpha+k)!) L_k^(alpha), each scaled by root_weight:
-    every term is a square, nothing overflows where the weight underflows,
-    and lam may be a float or a numpy array.
+    l_k = sqrt(k!/(alpha+k)!) L_k^(alpha), each times _root_weight.  That
+    weight enters as a float64 mantissa with its power-of-two exponent
+    carried beside it, and the running sum of squares is scaled down by
+    powers of two as it grows: every term is a square, and neither the
+    weight's underflow nor the polynomials' growth loses the product.
     """
-    prev, cur = 0.0, root_weight
-    total = cur * cur
+    cur, exponent = np.frexp(_root_weight(alpha, lam))
+    cur = cur.astype(float)
+    prev, total = 0.0, cur * cur
     for k in range(m - 1):
+        if k % 8 == 7 and np.any(total > _RESCALE_AT):
+            shift = np.where(total > _RESCALE_AT, np.frexp(total)[1] // 2, 0)
+            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
+            total, exponent = np.ldexp(total, -2 * shift), exponent + shift
         prev, cur = cur, (
             (2 * k + 1 + alpha - lam) * cur - math.sqrt(k * (alpha + k)) * prev
         ) / math.sqrt((k + 1) * (alpha + k + 1))
         total = total + cur * cur
-    return total
+    return np.ldexp(total, 2 * exponent)
 
 
-def _density(dims: ChannelDims, lam, form: str, root_weight):
-    """The one-point density in `form`, given root_weight as for
-    _weighted_kernel; lam may be a float or a numpy array.  The two-term
-    form scales each Laguerre factor by root_weight before multiplying."""
+def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> float:
+    """Marginal density of one unordered eigenvalue of H H*.
+
+    'sum_form' is the Laguerre sum over degrees 0..m-1 (_weighted_kernel
+    / m); 'two_term_form' is the Christoffel-Darboux style expression with
+    only three Laguerre factors (L of negative degree taken as zero), each
+    scaled by the float64 root weight before multiplying.  The two-term
+    form is an independent float64 cross-check, valid where that weight is
+    a normal float64: where it underflows to 0 the form returns 0.0.  Both
+    integrate to 1.  Raises ValueError for a negative or NaN lam; at
+    lam = inf both are 0.
+    """
+    if not lam >= 0:
+        raise ValueError(f"need lambda >= 0, got {lam}")
+    if form not in ("sum_form", "two_term_form"):
+        raise ValueError(f"unknown density form {form!r}")
     m, n = dims.m, dims.n
     alpha = n - m
+    if lam == math.inf:
+        return 0.0
     if form == "sum_form":
-        return _weighted_kernel(m, alpha, lam, root_weight) / m
+        return float(_weighted_kernel(m, alpha, lam) / m)
+    root_weight = float(_root_weight(alpha, lam))
+    if root_weight == 0.0:
+        # the Laguerre factors may overflow, and 0 * inf is nan
+        return 0.0
     pref = math.factorial(m - 1) * math.factorial(alpha) / math.factorial(n - 1)
     lm1 = root_weight * laguerre_eval(m - 1, alpha + 1, lam)
     cross = 0.0
@@ -159,37 +190,6 @@ def _density(dims: ChannelDims, lam, form: str, root_weight):
     return pref * (lm1 * lm1 - cross)
 
 
-_DENSITY_FORMS = ("sum_form", "two_term_form")
-
-
-def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> float:
-    """Marginal density of one unordered eigenvalue of H H*.
-
-    'sum_form' is the Laguerre sum over degrees 0..m-1; 'two_term_form'
-    is the Christoffel-Darboux style expression with only three Laguerre
-    factors (L of negative degree taken as zero).  Both integrate to 1.
-    Raises ValueError for a negative or NaN lam; at lam = inf both are 0.
-    """
-    if not lam >= 0:
-        raise ValueError(f"need lambda >= 0, got {lam}")
-    if form not in _DENSITY_FORMS:
-        raise ValueError(f"unknown density form {form!r}")
-    alpha = dims.n - dims.m
-    if lam == math.inf:
-        root_weight = 0.0
-    elif lam > 0:
-        import numpy as np
-
-        root_weight = float(_root_weight(alpha, np.float64(lam)))
-    else:
-        root_weight = float(alpha == 0)
-    if root_weight == 0.0:
-        # the sum form's recurrence gives 0 here; the two-term form's
-        # Laguerre factors may overflow, and 0 * inf is nan
-        return 0.0
-    return _density(dims, lam, form, root_weight)
-
-
 def _lam_scale(dims: ChannelDims) -> float:
     """_quad's scale for the density: 2^floor(log2 n), near its mean n."""
     return float(1 << (dims.n.bit_length() - 1))
@@ -197,10 +197,10 @@ def _lam_scale(dims: ChannelDims) -> float:
 
 def density_moment(dims: ChannelDims, power: int = 0) -> float:
     """integral of lambda^power * p(lambda) over [0, inf)."""
-    alpha = dims.n - dims.m
+    m, alpha = dims.m, dims.n - dims.m
 
     def integrand(lam):
-        return lam**power * _density(dims, lam, "sum_form", _root_weight(alpha, lam))
+        return lam**power * (_weighted_kernel(m, alpha, lam) / m)
 
     val, _ = _quad(integrand, 0.0, scale=_lam_scale(dims))
     return val
@@ -215,13 +215,10 @@ def telatar_quadrature(dims: ChannelDims, t: float) -> EvaluationResult:
     err_estimate is the integrator's own.
     """
     _check_t(t)
-    import numpy as np
-
     m, n, alpha = dims.m, dims.n, dims.n - dims.m
 
     def integrand(lam):
-        kernel = _weighted_kernel(m, alpha, lam, _root_weight(alpha, lam))
-        return np.log1p(lam / t) * kernel
+        return np.log1p(lam / t) * _weighted_kernel(m, alpha, lam)
 
     # E[I] >= mn / (t + (m+n)/2) by Jensen's inequality.  Where that bound
     # is below 1e-3, abs_tol shrinks with it, so that a small E[I] (large
@@ -322,8 +319,6 @@ def _log_det_bidiagonal(d2, s2, t: float):
     a sum of positive terms, so sum_i log1p(p_i - 1) loses nothing to
     cancellation at any t.
     """
-    import numpy as np
-
     x = d2[0] / t
     total = np.log1p(x)
     r = np.zeros_like(x)
@@ -358,8 +353,6 @@ def _mc_chunk(
     for m > 128) reuses, and reduced there.  The exact factor 2^scale keeps
     the squared deviations clear of underflow where ln det is tiny (large t).
     """
-    import numpy as np
-
     m, n = dims.m, dims.n
     stream = np.random.SeedSequence(seed, spawn_key=(chunk,))
     gen = np.random.Generator(np.random.PCG64DXSM(stream))
@@ -447,7 +440,6 @@ def lemma1_check(k: int, t: float) -> tuple[float, float]:
     _check_t(t)
     if not 0 <= k <= 20:
         raise ValueError(f"need 0 <= k <= 20, got {k}")
-    import numpy as np
 
     def integrand(x):
         # x^k overflows only where e^-x has underflowed: the product is 0 there.

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .coefficients import ChannelDims, build_table
 from .evaluator import evaluate_closed_form, render_expression
 from .oracles import (
@@ -85,8 +87,6 @@ def check_reference_expressions() -> CheckResult:
 
 def check_orthogonality(tol: float = 1e-9) -> CheckResult:
     """Laguerre orthogonality under the x^alpha e^-x weight by quadrature."""
-    import numpy as np
-
     worst = 0.0
     for alpha in (0, 1, 2, 4):
         for k in range(7):

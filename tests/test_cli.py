@@ -140,6 +140,18 @@ class TestEvalSweep:
         assert data[0]["method"] == "quadrature"
         assert data[0]["mi_nats"] == pytest.approx(1.789042086969582, abs=1e-9)
 
+    def test_eval_quadrature_large_table(self, capsys):
+        # the root weight underflowed inside the spectrum here, and the
+        # quadrature failed with exit 2
+        code, out, err = invoke(
+            capsys,
+            "eval", "-m", "600", "-n", "600", "--t", "1", "--quadrature",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)
+        assert row["method"] == "quadrature" and math.isfinite(row["mi_nats"])
+
     def test_sweep_csv(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -643,6 +655,14 @@ class TestVerify:
         )
         assert code == 0
         assert "PASS" in out
+
+    def test_large_table_passes(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify", "-m", "600", "-n", "600", "--t", "1", "--mc-samples", "2000"
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1
+        assert out.startswith("PASS  three-way agreement")
 
     def test_full_suite_passes(self, capsys):
         """Without -m and -n, verify runs each of the six checks once."""

@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -13,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mimo_mi import cli, oracles
+from mimo_mi import oracles
 from mimo_mi import (
     ChannelDims,
     ConvergenceError,
@@ -26,6 +24,7 @@ from mimo_mi import (
     one_point_density,
     telatar_quadrature,
 )
+from test_evaluator import _cli_output, _line_hashes
 
 MI_2X2_T1 = 1.789042086969582
 MI_1X1_T1 = 0.596347362323194  # e * Gamma(0,1), quadrature-derived
@@ -65,6 +64,19 @@ class TestOnePointDensity:
                     got = one_point_density(ChannelDims(1, 1 + alpha), lam)
                     worst = max(worst, float(abs(got - ref) / ref))
         assert worst <= 5e-16
+
+    @pytest.mark.parametrize("form", ["sum_form", "two_term_form"])
+    def test_zero_where_alpha_is_positive(self, form):
+        assert one_point_density(ChannelDims(2, 4), 0.0, form) == 0.0
+
+    def test_large_table(self):
+        # the float64 root weight underflowed to 0 above lam ~ 1,490, inside
+        # the spectrum (edge (sqrt m + sqrt n)^2 = 2,400), and the moments
+        # raised ConvergenceError
+        d = ChannelDims(600, 600)
+        assert density_moment(d, 0) == pytest.approx(1.0, abs=1e-10)
+        assert density_moment(d, 1) / 600 == pytest.approx(1.0, abs=1e-10)
+        assert one_point_density(d, 1500.0) > 0
 
     def test_unknown_form_errors(self):
         with pytest.raises(ValueError):
@@ -181,9 +193,17 @@ class TestQuad:
     def test_kernel_finite_where_weight_underflows(self):
         lam = np.array([1e-300, 1.0, 1e3, 1e6, 1e300])
         for m, alpha in ((1, 0), (16, 16), (64, 64)):
-            got = oracles._weighted_kernel(m, alpha, lam, oracles._root_weight(alpha, lam))
+            got = oracles._weighted_kernel(m, alpha, lam)
             assert np.all(np.isfinite(got)) and np.all(got >= 0)
             assert got[-2:].tolist() == [0.0, 0.0]
+
+    def test_kernel_at_zero(self):
+        # log(0) in the weight: finite, and no numpy warning (pytest turns
+        # warnings into errors)
+        for m, alpha in ((1, 0), (3, 0), (3, 2), (16, 16)):
+            got = oracles._weighted_kernel(m, alpha, np.array([0.0, 1.0]))
+            assert np.all(np.isfinite(got))
+            assert (got[0] > 0) == (alpha == 0)
 
 
 def _closed_form_reference(table, t):
@@ -251,6 +271,25 @@ class TestTelatarAgainstReference:
             assert err <= r.err_estimate <= 1e-11 * r.value
             assert err <= 1e-15 * r.value
 
+    @pytest.mark.parametrize("m,n", [(360, 360), (600, 600)])
+    def test_large_tables(self, m, n):
+        # the quadrature failed from 355x355 up, where the float64 root
+        # weight underflowed inside the spectrum
+        dims = ChannelDims(m, n)
+        table = build_table(dims)
+        for t in (1e-3, 1.0, 1e3, 1e6):
+            exact = evaluate_closed_form(table, t)
+            r = telatar_quadrature(dims, t)
+            assert abs(r.value - exact.value) <= r.err_estimate + exact.err_estimate, t
+
+    @pytest.mark.parametrize("m,n", [(1145, 1145), (800, 1600)])
+    def test_large_tables_at_large_t(self, m, n):
+        # mn/t - mn(m+n)/(2t^2) <= E[I] <= mn/t, from ln(1 + x) <= x and
+        # E[tr (H H*)^2] = mn(m+n): no table needed
+        t, mn = 1e9, m * n
+        value = telatar_quadrature(ChannelDims(m, n), t).value
+        assert mn / t - mn * (m + n) / (2 * t * t) <= value <= mn / t
+
     def test_one_integral_per_call(self, monkeypatch):
         calls = []
         real = oracles._quad
@@ -308,13 +347,6 @@ _FROZEN_QUAD_TS = tuple(repr(0.1 * 10 ** (k / 8)) for k in range(17))
 _FROZEN_DENSITY_LAMS = (0.0, 0.01, 1.0, 5.0, 50.0)
 
 
-def _cli_output(*argv: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.run(list(argv)) == 0
-    return out.getvalue()
-
-
 def _oracle_documents() -> dict:
     """key: document text, for every document the golden file pins."""
     docs = {}
@@ -336,19 +368,6 @@ def _oracle_documents() -> dict:
             lines += [f"moment {p} {density_moment(d, p)!r}\n" for p in (0, 1)]
             docs[f"density {m}x{n}"] = "".join(lines)
     return docs
-
-
-def _line_hashes(text: str) -> str:
-    """The first 4 hex digits of each line's SHA-256, run together: enough
-    to find the first line that changed once the document's hash differs."""
-    return "".join(
-        hashlib.sha256(line.encode()).hexdigest()[:4]
-        for line in text.splitlines(keepends=True)
-    )
-
-
-def _frozen_digest(text: str) -> dict:
-    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "lines": _line_hashes(text)}
 
 
 class TestFrozenOracles:
