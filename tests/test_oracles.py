@@ -393,6 +393,34 @@ class TestFrozenOracles:
             pytest.fail(f"{key}: {len(lines)} lines, {len(want['lines']) // 4} frozen")
 
 
+def _mc_documents() -> dict:
+    """key: `mc --format json` text, for every report mc_sha256.json pins."""
+    return {
+        f"mc {m}x{n} t={t} workers={w}": _cli_output(
+            "mc", "-m", str(m), "-n", str(n), "--t", t, "--samples", "3000",
+            "--seed", "7", "--workers", str(w), "--format", "json",
+        )
+        for m, n in ((1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (2, 4))
+        for t in ("0.1", "1", "10", "1e6")
+        for w in (1, 3)
+    }
+
+
+class TestFrozenMonteCarlo:
+    """Every byte of the m <= 2 Monte Carlo reports above is pinned by its
+    SHA-256: a change to how a block is drawn or reduced must keep their
+    gamma draws in the same stream order and their reduction exact."""
+
+    def test_documents_unchanged(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "mc_sha256.json")
+        with open(path) as fh:
+            frozen = json.load(fh)
+        docs = _mc_documents()
+        assert sorted(frozen) == sorted(docs)
+        for key, text in docs.items():
+            assert hashlib.sha256(text.encode()).hexdigest() == frozen[key], text
+
+
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_quadrature_grid(self, m):
