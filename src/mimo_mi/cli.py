@@ -279,18 +279,12 @@ def _cmd_verify(args) -> int:
         dims = ChannelDims(args.m, args.n)
         results = [
             check_three_way(
-                rel_tol=args.rel_tol,
-                mc_samples=args.mc_samples,
-                seed=args.seed,
-                dims=[dims],
-                ts=(t,),
+                mc_samples=args.mc_samples, seed=args.seed, dims=[dims], ts=(t,)
             )
             for t in args.t or (0.1, 1.0, 10.0)
         ]
     else:
-        results = run_all(
-            rel_tol=args.rel_tol, mc_samples=args.mc_samples, seed=args.seed
-        )
+        results = run_all(mc_samples=args.mc_samples, seed=args.seed)
     _emit([r.line() + "\n" for r in results], args.output)
     return 0 if all(r.passed for r in results) else 2
 
@@ -336,7 +330,6 @@ def _add_verify_args(p) -> None:
     p.add_argument("-m", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--t", type=float, nargs="+", default=None)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--mc-samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=20240817)
     p.add_argument("-o", "--output", default=None)

@@ -75,8 +75,7 @@ def _quad(
 
     h = _DE_STEP
     lo, hi = _DE_START
-    # f may overflow or divide by zero at extreme arguments (say lam/t at
-    # subnormal t); the isfinite check in terms reports that, so numpy need not.
+    # terms reports an f that overflows or divides by zero; numpy need not.
     with np.errstate(all="ignore"):
         g = terms(np.arange(lo, hi + 1), h)
         while True:
@@ -218,7 +217,10 @@ def telatar_quadrature(dims: ChannelDims, t: float) -> EvaluationResult:
     m, n, alpha = dims.m, dims.n, dims.n - dims.m
 
     def integrand(lam):
-        return np.log1p(lam / t) * _weighted_kernel(m, alpha, lam)
+        log = np.log1p(lam / t)
+        if np.isinf(log).any():  # lam/t overflows: ln lam - ln t there
+            log = np.where(np.isinf(log), np.log(lam) - math.log(t), log)
+        return log * _weighted_kernel(m, alpha, lam)
 
     # E[I] >= mn / (t + (m+n)/2) by Jensen's inequality.  Where that bound
     # is below 1e-3, abs_tol shrinks with it, so that a small E[I] (large
@@ -260,28 +262,29 @@ class McReport(NamedTuple):
         )
 
 
-# Most samples drawn and reduced at once inside a chunk: small enough to stay
-# in cache (7 rows of 64 KiB at 4x4).  Each sample takes 2m - 1 float64 draws,
-# so for m > 128 a block shrinks to keep m x block at most _MC_BLOCK_DRAWS:
-# a chunk's memory stays bounded whatever its sample count and m.
+# Most samples drawn and reduced at once inside a chunk: each row of B is
+# drawn into one of two 64 KiB buffers, which stay in cache whatever m is.
 _MC_BLOCK = 2**13
-_MC_BLOCK_DRAWS = 2**20
 # Most chunks (`workers`) one call may split its samples into: each chunk
 # is a list entry and a future, built before any sample is drawn.
 _MC_MAX_WORKERS = 1024
 # Most gamma draws, samples * (2m - 1), one call may make.  One worker
-# makes 1.7e7 to 2.8e7 a second (2x2 to 8x8, a 2-core Xeon), so this
-# allows 6 to 10 minutes; a larger request would run for hours, or for
-# centuries, before it returned.
+# makes 1.7e7 to 2.8e7 a second (2x2 to 8x8, a 2-core Xeon) in full
+# blocks at any m, so this allows 6 to 10 minutes; a larger request would
+# run for hours, or for centuries, before it returned.
 _MC_MAX_DRAWS = 10**10
+# Most row steps, m per block, one call may make: a step of a block of a
+# few samples costs about 11 us whatever its size (a 2-core Xeon), so this
+# allows about 10 minutes where chunks are too small to fill their blocks.
+_MC_MAX_ROW_STEPS = 5 * 10**7
 
 
 def _check_mc_request(
     dims: ChannelDims, samples: int, seed: int, workers: int
-) -> None:
+) -> list[int]:
     """Raise ValueError unless monte_carlo_mi can take this many samples,
-    seed and workers at these dims; it checks this before any thread
-    starts or any sample is drawn."""
+    seed and workers at these dims, before any thread starts or any sample
+    is drawn; else return the sample count of each chunk."""
     if samples < 100:
         raise ValueError(f"need samples >= 100, got {samples}")
     if not 1 <= workers <= samples:
@@ -296,6 +299,16 @@ def _check_mc_request(
             f"{samples} samples at m={dims.m} take {draws} gamma draws"
             f" (2m - 1 each), more than the {_MC_MAX_DRAWS} allowed"
         )
+    base, rem = divmod(samples, workers)
+    counts = [base + 1 if c < rem else base for c in range(workers)]
+    steps = dims.m * sum(-(-count // _MC_BLOCK) for count in counts)
+    if steps > _MC_MAX_ROW_STEPS:
+        raise ValueError(
+            f"{samples} samples in {workers} chunks at m={dims.m} take {steps}"
+            f" row steps (m per block of {_MC_BLOCK}), more than the"
+            f" {_MC_MAX_ROW_STEPS} allowed"
+        )
+    return counts
 
 
 def _chan_merge(a, b):
@@ -308,26 +321,27 @@ def _chan_merge(a, b):
     return n, mean_a + delta * n_b / n, m2_a + (m2_b + delta * delta * n_a * n_b / n)
 
 
-def _log_det_bidiagonal(d2, s2, t: float):
-    """ln det(I + B B^T/t) for each column of the squared bidiagonal entries.
+def _log_det_bidiagonal(rows, t: float):
+    """ln det(I + B B^T/t) for each sample, from the rows of B in order.
 
-    B is m x m lower bidiagonal with B[i, i]^2 = d2[i] and
-    B[i, i-1]^2 = s2[i-1]; d2 has shape (m, samples) and s2 (m-1, samples).
+    B is m x m lower bidiagonal.  For i = 0..m-1 the iterator rows yields
+    (d2_i, s2_i) = (B[i, i]^2, B[i, i-1]^2) over the samples (s2_0 unused),
+    each used before the next is drawn, so the rows may share buffers.
     I + B B^T/t is tridiagonal, and its LU pivots p_i give the determinant.
-    With r_0 = 0 and p_0 - 1 = d2[0]/t, each later pivot is
-    p_i - 1 = d2[i]/t + r_i with r_i = s2[i-1] (1 + r_{i-1}) / (t p_{i-1}),
+    With r_0 = 0 and p_0 - 1 = d2_0/t, each later pivot is
+    p_i - 1 = d2_i/t + r_i with r_i = s2_i (1 + r_{i-1}) / (t p_{i-1}),
     a sum of positive terms, so sum_i log1p(p_i - 1) loses nothing to
     cancellation at any t.
     """
-    x = d2[0] / t
+    x = next(rows)[0] / t
     total = np.log1p(x)
     r = np.zeros_like(x)
     log = np.empty_like(x)
-    for i in range(1, len(d2)):
-        # r = s2[i-1] (1 + r) / (t (1 + x)), then x = d2[i]/t + r, in place
-        np.multiply(np.add(r, 1.0, out=r), s2[i - 1], out=r)
+    for d2, s2 in rows:
+        # r = s2 (1 + r) / (t (1 + x)), then x = d2/t + r, in place
+        np.multiply(np.add(r, 1.0, out=r), s2, out=r)
         np.divide(r, np.multiply(np.add(x, 1.0, out=x), t, out=x), out=r)
-        np.add(np.divide(d2[i], t, out=x), r, out=x)
+        np.add(np.divide(d2, t, out=x), r, out=x)
         total += np.log1p(x, out=log)
     return total
 
@@ -348,29 +362,28 @@ def _mc_chunk(
     H H* are distributed as those of B B^T, where B is lower bidiagonal
     with B[i, i]^2 ~ Gamma(n - i) and B[i, i-1]^2 ~ Gamma(m - i), all
     independent (chi^2_2k / 2 = Gamma(k) carries the unit entry variance).
-    Each sample costs 2m - 1 gamma draws and an O(m) pivot recurrence.
-    Samples are drawn into two buffers that each block of _MC_BLOCK (fewer
-    for m > 128) reuses, and reduced there.  The exact factor 2^scale keeps
-    the squared deviations clear of underflow where ln det is tiny (large t).
+    Each sample costs 2m - 1 gamma draws and an O(m) pivot recurrence, with
+    B drawn row by row (d2_i, then s2_i) into two _MC_BLOCK buffers that
+    every row of every block reuses.  The exact factor 2^scale keeps the
+    squared deviations clear of underflow where ln det is tiny (large t).
     """
     m, n = dims.m, dims.n
     stream = np.random.SeedSequence(seed, spawn_key=(chunk,))
     gen = np.random.Generator(np.random.PCG64DXSM(stream))
-    block = min(_MC_BLOCK, max(1, _MC_BLOCK_DRAWS // m), count)
-    # every block reuses these, so that no two blocks' draws are held at once
-    d2 = np.empty((m, block))
-    s2 = np.empty((m - 1, block))
-    blocks = []
-    for start in range(0, count, block):
-        size = min(block, count - start)
+    d2, s2 = np.empty((2, min(_MC_BLOCK, count)))
+
+    def rows(size):
         for i in range(m):
-            gen.standard_gamma(n - i, out=d2[i, :size])
-        for i in range(m - 1):
-            gen.standard_gamma(m - 1 - i, out=s2[i, :size])
+            d = gen.standard_gamma(n - i, out=d2[:size])
+            yield d, gen.standard_gamma(m - i, out=s2[:size]) if i else None
+
+    blocks = []
+    for start in range(0, count, _MC_BLOCK):
+        size = min(_MC_BLOCK, count - start)
         # At t <~ 1e-307, d2/t overflows; monte_carlo_mi rejects the
         # resulting inf or nan, so numpy need not warn about it.
         with np.errstate(all="ignore"):
-            mi = np.ldexp(_log_det_bidiagonal(d2[:, :size], s2[:, :size], t), scale)
+            mi = np.ldexp(_log_det_bidiagonal(rows(size), t), scale)
             mean = float(np.mean(mi))
             blocks.append((size, mean, float(np.sum((mi - mean) ** 2))))
     return functools.reduce(_chan_merge, blocks)
@@ -392,12 +405,11 @@ def monte_carlo_mi(
     reduction runs in fixed index order so the report is bit-identical
     across runs and thread schedules for the same (seed, samples, workers).
     Raises ValueError if the request would take more than _MC_MAX_DRAWS
-    gamma draws, or if the mean or its standard error is not finite.
+    gamma draws or _MC_MAX_ROW_STEPS row steps, or if the mean or its
+    standard error is not finite.
     """
     _check_t(t)
-    _check_mc_request(dims, samples, seed, workers)
-    base, rem = divmod(samples, workers)
-    counts = [base + 1 if c < rem else base for c in range(workers)]
+    counts = _check_mc_request(dims, samples, seed, workers)
     # ln det(I + H H*/t) ~ tr(H H*)/t at large t, whose squared deviations
     # would underflow: reduce 2^scale times it, with 2^scale ~ t.
     scale = max(0, math.frexp(t)[1])

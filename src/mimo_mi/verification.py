@@ -48,6 +48,9 @@ _LEMMA1_K_MAX = 12
 _LNT_TOL = 1e-9
 _LNT_M_MAX = 4
 _LNT_N_MAX = 8
+# The three-way check fails a point whose quadrature differs from the
+# closed form by more than this, relative.
+_THREE_WAY_REL_TOL = 1e-8
 # The three-way check fails a point whose Monte Carlo mean is more than
 # this many standard errors from the closed form.
 _MC_SIGMA = 4.0
@@ -85,7 +88,7 @@ def check_reference_expressions() -> CheckResult:
     )
 
 
-def check_orthogonality(tol: float = 1e-9) -> CheckResult:
+def check_orthogonality() -> CheckResult:
     """Laguerre orthogonality under the x^alpha e^-x weight by quadrature."""
     worst = 0.0
     for alpha in (0, 1, 2, 4):
@@ -110,7 +113,7 @@ def check_orthogonality(tol: float = 1e-9) -> CheckResult:
                     / math.factorial(l)
                 )
                 worst = max(worst, abs(val - target) / scale)
-    return CheckResult("laguerre orthogonality", worst <= tol, f"max err {worst:.3e}")
+    return CheckResult("laguerre orthogonality", worst <= 1e-9, f"max err {worst:.3e}")
 
 
 def check_lemma1() -> CheckResult:
@@ -127,17 +130,12 @@ def check_lemma1() -> CheckResult:
     )
 
 
-def check_density(
-    pointwise_tol: float = 1e-11,
-    norm_tol: float = 1e-10,
-    moment_tol: float = 1e-8,
-    m_max: int = 5,
-    n_max: int = 9,
-) -> CheckResult:
-    """Density form equivalence, normalization, and first moment = n."""
+def check_density() -> CheckResult:
+    """Density form equivalence, normalization, and first moment = n, at
+    every m <= 5, m <= n <= 9."""
     worst_pt = worst_norm = worst_mom = 0.0
-    for m in range(1, m_max + 1):
-        for n in range(m, n_max + 1):
+    for m in range(1, 6):
+        for n in range(m, 10):
             dims = ChannelDims(m, n)
             for lam in (0.01, 0.1, 1.0, 5.0, 20.0, 50.0):
                 p1 = one_point_density(dims, lam, "sum_form")
@@ -145,7 +143,7 @@ def check_density(
                 worst_pt = max(worst_pt, abs(p1 - p2) / max(abs(p1), 1e-300))
             worst_norm = max(worst_norm, abs(density_moment(dims, 0) - 1.0))
             worst_mom = max(worst_mom, abs(density_moment(dims, 1) - n) / n)
-    ok = worst_pt <= pointwise_tol and worst_norm <= norm_tol and worst_mom <= moment_tol
+    ok = worst_pt <= 1e-11 and worst_norm <= 1e-10 and worst_mom <= 1e-8
     return CheckResult(
         "eigenvalue density",
         ok,
@@ -175,18 +173,12 @@ def check_lnt_identity() -> CheckResult:
     )
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"need a finite rel_tol > 0, got {rel_tol}")
-
-
 def _check_mc_args(mc_samples: int, seed: int, dims) -> None:
     for d in dims:
         _check_mc_request(d, mc_samples, seed, _MC_WORKERS)
 
 
 def check_three_way(
-    rel_tol: float = 1e-8,
     mc_samples: int = 200_000,
     seed: int = 20240817,
     dims: list[ChannelDims] | None = None,
@@ -197,11 +189,9 @@ def check_three_way(
     The default grid is _THREE_WAY_DIMS.  The detail gives the largest
     relative difference between the closed form and the quadrature, and
     how far Monte Carlo strays from the closed form, each with the point
-    where it occurs.  Raises ValueError unless rel_tol is finite and
-    positive and Monte Carlo can take mc_samples and seed at every dims,
-    before any point is computed.
+    where it occurs.  Raises ValueError unless Monte Carlo can take
+    mc_samples and seed at every dims, before any point is computed.
     """
-    _check_rel_tol(rel_tol)
     if dims is None:
         dims = _THREE_WAY_DIMS
     _check_mc_args(mc_samples, seed, dims)
@@ -220,7 +210,7 @@ def check_three_way(
             sigma = abs(rep.mean - exact) / rep.std_error
             if sigma >= worst_mc[0]:
                 worst_mc = (sigma, point)
-    ok = worst_quad[0] <= rel_tol and worst_mc[0] <= _MC_SIGMA
+    ok = worst_quad[0] <= _THREE_WAY_REL_TOL and worst_mc[0] <= _MC_SIGMA
     return CheckResult(
         "three-way agreement",
         ok,
@@ -229,11 +219,8 @@ def check_three_way(
     )
 
 
-def run_all(
-    rel_tol: float = 1e-8, mc_samples: int = 200_000, seed: int = 20240817
-) -> list[CheckResult]:
+def run_all(mc_samples: int = 200_000, seed: int = 20240817) -> list[CheckResult]:
     # before the checks that do not use them
-    _check_rel_tol(rel_tol)
     _check_mc_args(mc_samples, seed, _THREE_WAY_DIMS)
     return [
         check_reference_expressions(),
@@ -241,5 +228,5 @@ def run_all(
         check_lemma1(),
         check_density(),
         check_lnt_identity(),
-        check_three_way(rel_tol=rel_tol, mc_samples=mc_samples, seed=seed),
+        check_three_way(mc_samples=mc_samples, seed=seed),
     ]

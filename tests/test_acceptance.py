@@ -86,9 +86,7 @@ def test_criterion_4_log_weighted_gamma_identity():
 
 
 def test_criterion_5_density_checks():
-    result = check_density(
-        pointwise_tol=1e-11, norm_tol=1e-10, moment_tol=1e-8, m_max=5, n_max=9
-    )
+    result = check_density()
     report("one-point density equivalence and moments", result.passed, result.detail)
 
 
@@ -113,7 +111,7 @@ def test_criterion_6_log_cancellation_identity():
 
 
 def test_criterion_7_laguerre_orthogonality():
-    result = check_orthogonality(tol=1e-9)
+    result = check_orthogonality()
     report("Laguerre orthogonality (k,l <= 6)", result.passed, result.detail)
 
 

@@ -184,11 +184,17 @@ class TestQuad:
         with pytest.raises(ConvergenceError, match="not finite"):
             oracles._quad(lambda x: np.full_like(x, np.nan), 0.0)
 
-    def test_subnormal_t_is_a_convergence_error(self):
-        # lam / t overflows at the nodes: reported once, with no numpy
-        # warning first (pytest turns warnings into errors)
-        with pytest.raises(ConvergenceError, match="not finite"):
-            telatar_quadrature(ChannelDims(2, 2), 1e-310)
+    def test_subnormal_t_agrees_with_closed_form(self):
+        # lam / t overflows at the nodes, where ln(1 + lam/t) is taken as
+        # ln lam - ln t, with no numpy warning (pytest turns warnings into
+        # errors); ln(1 + lam/t) was inf there, a ConvergenceError
+        for m, n in ((1, 1), (2, 2), (4, 6)):
+            d = ChannelDims(m, n)
+            table = build_table(d)
+            for t in (1e-300, 1e-310, 1e-320, 5e-324):
+                exact = evaluate_closed_form(table, t).value
+                assert telatar_quadrature(d, t).value == pytest.approx(exact, rel=2e-16)
+        assert telatar_quadrature(ChannelDims(2, 2), 5e-324).value == 1488.7257125129595
 
     def test_kernel_finite_where_weight_underflows(self):
         lam = np.array([1e-300, 1.0, 1e3, 1e6, 1e300])
@@ -493,6 +499,13 @@ class TestMonteCarlo:
         rep = monte_carlo_mi(ChannelDims(2, 2), 1.0, 10_000, seed=42, workers=4)
         assert (rep.mean, rep.std_error) == (1.785188390008108, 0.0055079406637351756)
 
+    def test_golden_report_4x4(self):
+        # the streams at m >= 3 changed when blocks began to draw B row by
+        # row (d2_i, then s2_i) into its pivot recurrence, where they had
+        # drawn every d2_i and then every s2_i; m <= 2 kept its order
+        rep = monte_carlo_mi(ChannelDims(4, 4), 1.0, 10_000, seed=42, workers=4)
+        assert (rep.mean, rep.std_error) == (5.095131049397985, 0.00688444550452365)
+
     def test_std_error_scales_with_t(self):
         # ln det(I + H H*/t) ~ tr(H H*)/t: unscaled, its squared deviations
         # underflow past t ~ 1e154 and std_error came out 0.0 at 1e170
@@ -586,6 +599,30 @@ class TestMonteCarloWorkers:
         rep = monte_carlo_mi(ChannelDims(3, 3), 1.0, cap // 5, workers=2)
         assert rep.samples * 5 == cap
 
+    @pytest.mark.parametrize(
+        "m,samples,workers,steps",
+        # 8.0e9 draws, but 1,000 one-sample blocks of 4 x 10^6 row steps;
+        # 50,001 row steps in each of 1,000 blocks
+        [(4 * 10**6, 1000, 1000, 4 * 10**9), (50_001, 1001, 1000, 50_001_000)],
+    )
+    def test_row_step_cap_rejected_before_any_chunk(
+        self, monkeypatch, m, samples, workers, steps
+    ):
+        def no_chunk(*args):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(oracles, "_mc_chunk", no_chunk)
+        with pytest.raises(ValueError, match=f"take {steps} row steps"):
+            monte_carlo_mi(ChannelDims(m, m), 1.0, samples, workers=workers)
+
+    def test_row_step_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_mc_chunk", lambda *args: (args[2], 1.0, 1.0))
+        cap = oracles._MC_MAX_ROW_STEPS
+        # 1,000 chunks of one block each: 1,000 m row steps
+        m = cap // 1000
+        rep = monte_carlo_mi(ChannelDims(m, m), 1.0, 1000, workers=1000)
+        assert rep.samples * m == cap
+
     def test_pool_size_does_not_change_report(self, monkeypatch):
         kw = dict(t=1.0, samples=10_000, seed=42, workers=4)
         threaded = monte_carlo_mi(ChannelDims(3, 4), **kw)
@@ -620,7 +657,7 @@ class TestBidiagonalSampler:
     def test_recurrence_matches_mpmath_log_det(self, m, n):
         d2, s2 = _seeded_bidiagonal(m, n, 3, seed=1000 * m + n)
         for t in (1e-6, 1.0, 1e6):
-            got = oracles._log_det_bidiagonal(d2, s2, t)
+            got = oracles._log_det_bidiagonal(zip(d2, [None, *s2]), t)
             with mpmath.workdps(50):
                 for j in range(d2.shape[1]):
                     b = mpmath.zeros(m)
@@ -649,8 +686,8 @@ class TestBidiagonalSampler:
         blocks = []
         log_det = oracles._log_det_bidiagonal
 
-        def recording(d2, s2, t):
-            blocks.append(log_det(d2, s2, t))
+        def recording(rows, t):
+            blocks.append(log_det(rows, t))
             return blocks[-1]
 
         monkeypatch.setattr(oracles, "_MC_BLOCK", 100)
@@ -676,33 +713,55 @@ class TestBidiagonalSampler:
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_chunk_memory_bounded_whatever_m(self):
-        # one block of all 2^15 samples of a 128 x 128 channel would hold
-        # 255 x 2^15 float64 draws (67 MB); d2 and s2 of a block hold at
-        # most 2 _MC_BLOCK_DRAWS, and every block reuses them
-        dims = ChannelDims(128, 128)
+        # a block draws B row by row into two _MC_BLOCK buffers, so its
+        # memory does not grow with m; whole blocks of 2m - 1 rows of
+        # draws would take 64 KiB per row, 512 MiB at m = 4096
         oracles._mc_chunk(ChannelDims(2, 2), 1.0, 1000, 1, 0)  # warm numpy up
-        tracemalloc.start()
-        try:
-            oracles._mc_chunk(dims, 1.0, 2**15, 1, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 2 * 8 * oracles._MC_BLOCK_DRAWS
+        peaks = []
+        for m in (2, 4096):
+            tracemalloc.start()
+            try:
+                oracles._mc_chunk(ChannelDims(m, m), 1.0, oracles._MC_BLOCK, 1, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
-    def test_block_is_full_size_up_to_m_128(self, monkeypatch):
+    def test_block_is_full_size_whatever_m(self, monkeypatch):
         sizes = []
         log_det = oracles._log_det_bidiagonal
 
-        def recording(d2, s2, t):
-            sizes.append(d2.shape)
-            return log_det(d2, s2, t)
+        def recording(rows, t):
+            mi = log_det(rows, t)
+            sizes.append(len(mi))
+            return mi
 
         monkeypatch.setattr(oracles, "_log_det_bidiagonal", recording)
-        for m in (128, 129):
-            oracles._mc_chunk(ChannelDims(m, m), 1.0, oracles._MC_BLOCK, 1, 0)
-        assert sizes[0] == (128, oracles._MC_BLOCK)
-        assert sizes[1] == (129, oracles._MC_BLOCK_DRAWS // 129)
-        assert sizes[2] == (129, oracles._MC_BLOCK % sizes[1][1])
+        for m in (128, 129, 4096):
+            sizes.clear()
+            oracles._mc_chunk(ChannelDims(m, m), 1.0, oracles._MC_BLOCK + 5, 1, 0)
+            assert sizes == [oracles._MC_BLOCK, 5], m
+            sizes.clear()
+            oracles._mc_chunk(ChannelDims(m, m), 1.0, 100, 1, 0)
+            assert sizes == [100], m
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (5, 7)])
+    def test_rows_drawn_in_order(self, m, n):
+        # one sample: for each row i, d2_i ~ Gamma(n - i), then for i >= 1
+        # s2_i ~ Gamma(m - i), from chunk 0's stream
+        seed = 31
+        stream = np.random.SeedSequence(seed, spawn_key=(0,))
+        gen = np.random.Generator(np.random.PCG64DXSM(stream))
+        b = mpmath.zeros(m)
+        with mpmath.workdps(50):
+            for i in range(m):
+                b[i, i] = mpmath.sqrt(gen.standard_gamma(n - i))
+                if i:
+                    b[i, i - 1] = mpmath.sqrt(gen.standard_gamma(m - i))
+            ref = mpmath.log(mpmath.det(mpmath.eye(m) + b * b.T))
+        count, mean, m2 = oracles._mc_chunk(ChannelDims(m, n), 1.0, 1, seed, 0)
+        assert (count, m2) == (1, 0.0)
+        assert abs(mean - ref) <= 1e-14 * abs(ref)
 
     def test_request_memory(self):
         # each of the two chunks holds one pair of 8,192-sample buffers
