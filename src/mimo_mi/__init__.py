@@ -53,25 +53,11 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# Resolved from .oracles on first use (PEP 562), so that importing the
-# package, or the CLI for a command that needs no oracle, does not load
-# the oracles and what they import.
-_ORACLE_NAMES = frozenset(
-    {
-        "ConvergenceError",
-        "McReport",
-        "density_moment",
-        "lemma1_check",
-        "lnt_identity_check",
-        "monte_carlo_mi",
-        "one_point_density",
-        "telatar_quadrature",
-    }
-)
-
-
+# Each name in __all__ not bound above comes from .oracles on first use
+# (PEP 562), so that importing the package, or the CLI for a command
+# that needs no oracle, loads neither the oracles nor what they import.
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
+    if name in __all__:
         from . import oracles
 
         return getattr(oracles, name)
@@ -79,4 +65,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | set(__all__))

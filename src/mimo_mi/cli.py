@@ -271,7 +271,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verification import check_three_way, run_all
+    from .verification import _THREE_WAY_TS, check_three_way, run_all
 
     if (args.m is None) != (args.n is None):
         raise ValueError("verify needs both -m and -n, or neither")
@@ -281,7 +281,7 @@ def _cmd_verify(args) -> int:
             check_three_way(
                 mc_samples=args.mc_samples, seed=args.seed, dims=[dims], ts=(t,)
             )
-            for t in args.t or (0.1, 1.0, 10.0)
+            for t in args.t or _THREE_WAY_TS
         ]
     else:
         results = run_all(mc_samples=args.mc_samples, seed=args.seed)

@@ -118,6 +118,16 @@ def _column_sums(dims: ChannelDims) -> tuple[list[int], int]:
     return nums, den
 
 
+def _check_work(dims: ChannelDims) -> None:
+    """Raise ValueError unless build_table, and so each oracle, takes dims."""
+    m, n, top = dims.m, dims.n, dims.m + dims.n - 2
+    if top * top * (top + 18 * m) > _MAX_BUILD_WORK:
+        raise ValueError(
+            f"the {m} x {n} table is too large to build: (n+m-2)^2 ((n+m-2) + 18m) "
+            f"is above {_MAX_BUILD_WORK:.2g}, about 10 s of work"
+        )
+
+
 class CoefficientTable(NamedTuple):
     """Full exact coefficient set for one channel dimension pair, as
     integers over one common denominator in lowest terms:
@@ -157,13 +167,9 @@ def build_table(dims: ChannelDims) -> CoefficientTable:
     stores immutable values, so concurrent first calls at worst
     duplicate work.
     """
+    _check_work(dims)
     m, n = dims.m, dims.n
     d, top = n - m, n + m - 2
-    if top * top * (top + 18 * m) > _MAX_BUILD_WORK:
-        raise ValueError(
-            f"the {m} x {n} table is too large to build: (n+m-2)^2 ((n+m-2) + 18m) "
-            f"is above {_MAX_BUILD_WORK:.2g}, about 10 s of work"
-        )
     nums, den = _column_sums(dims)
     # 0! .. (n+m-2)!: every factorial the sums below take
     fact = list(accumulate(range(1, top + 1), operator.mul, initial=1))

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import ChannelDims, coeff_c
+from .coefficients import ChannelDims, _check_work, coeff_c
 from .evaluator import EvaluationResult, Method
 from .special_functions import _check_t, laguerre_eval, upper_gamma_int
 
@@ -162,13 +162,14 @@ def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> 
     scaled by the float64 root weight before multiplying.  The two-term
     form is an independent float64 cross-check, valid where that weight is
     a normal float64: where it underflows to 0 the form returns 0.0.  Both
-    integrate to 1.  Raises ValueError for a negative or NaN lam; at
-    lam = inf both are 0.
+    integrate to 1.  Raises ValueError for a negative or NaN lam, and for
+    dims build_table refuses; at lam = inf both are 0.
     """
     if not lam >= 0:
         raise ValueError(f"need lambda >= 0, got {lam}")
     if form not in ("sum_form", "two_term_form"):
         raise ValueError(f"unknown density form {form!r}")
+    _check_work(dims)
     m, n = dims.m, dims.n
     alpha = n - m
     if lam == math.inf:
@@ -196,6 +197,7 @@ def _lam_scale(dims: ChannelDims) -> float:
 
 def density_moment(dims: ChannelDims, power: int = 0) -> float:
     """integral of lambda^power * p(lambda) over [0, inf)."""
+    _check_work(dims)
     m, alpha = dims.m, dims.n - dims.m
 
     def integrand(lam):
@@ -211,9 +213,10 @@ def telatar_quadrature(dims: ChannelDims, t: float) -> EvaluationResult:
     One integral over [0, inf) of ln(1 + lam/t) e^-lam lam^alpha K(lam),
     where K(lam) = sum_{k<m} k!/(alpha+k)! (L_k^(alpha)(lam))^2 comes from
     one pass of the Laguerre recurrence at every node (_weighted_kernel).
-    err_estimate is the integrator's own.
+    err_estimate is the integrator's own.  Dims beyond build_table's: ValueError.
     """
     _check_t(t)
+    _check_work(dims)
     m, n, alpha = dims.m, dims.n, dims.n - dims.m
 
     def integrand(lam):

@@ -1,7 +1,7 @@
 """Bundled self-verification: every cross-check the package promises.
 
-Each check compares two independent computation routes and reports the
-worst observed error against a fixed tolerance.  The CLI `verify`
+Each check compares two independent routes and reports the worst observed error
+against a fixed tolerance.  Each gate is defined here alone: the CLI `verify`
 command and the acceptance test suite are thin wrappers around these.
 """
 
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import ChannelDims, build_table
+from .coefficients import ChannelDims, build_table, coeff_c
 from .evaluator import evaluate_closed_form, render_expression
 from .oracles import (
     _check_mc_request,
@@ -59,6 +59,7 @@ _MC_WORKERS = 4
 _THREE_WAY_DIMS = tuple(
     ChannelDims(m, n) for m in range(1, 5) for n in range(m, m + 4)
 )
+_THREE_WAY_TS = (0.1, 1.0, 10.0)
 
 
 class CheckResult(NamedTuple):
@@ -155,17 +156,21 @@ def check_density() -> CheckResult:
 def check_lnt_identity() -> CheckResult:
     """Exact and numerical forms of the log-term cancellation identity.
 
-    The exact form is build_table's guard on the column sums, so a table
-    that fails to build fails the check.
+    The exact form, sum_{i<2m-1} (i+n-m)! sum_{j<=i} c_ij = m, is summed
+    in Fractions from coeff_c; the first dims where it fails fail the check.
     """
     worst = 0.0
     for m in range(1, _LNT_M_MAX + 1):
         for n in range(m, _LNT_N_MAX + 1):
             dims = ChannelDims(m, n)
-            try:
-                build_table(dims)
-            except AssertionError as exc:
-                return CheckResult("log-term cancellation identity", False, str(exc))
+            exact = sum(
+                math.factorial(i + n - m) * coeff_c(i, j, dims)
+                for i in range(2 * m - 1)
+                for j in range(i + 1)
+            )
+            if exact != m:
+                detail = f"exact sum {exact} at m={m} n={n}, not {m}"
+                return CheckResult("log-term cancellation identity", False, detail)
             for t in (0.3, 1.0, 3.0):
                 worst = max(worst, abs(lnt_identity_check(dims, t) - m) / m)
     return CheckResult(
@@ -182,12 +187,12 @@ def check_three_way(
     mc_samples: int = 200_000,
     seed: int = 20240817,
     dims: list[ChannelDims] | None = None,
-    ts: tuple[float, ...] = (0.1, 1.0, 10.0),
+    ts: tuple[float, ...] = _THREE_WAY_TS,
 ) -> CheckResult:
     """Closed form vs quadrature vs Monte Carlo at every dims x ts point.
 
-    The default grid is _THREE_WAY_DIMS.  The detail gives the largest
-    relative difference between the closed form and the quadrature, and
+    The default grid is _THREE_WAY_DIMS x _THREE_WAY_TS.  The detail gives the
+    largest relative difference between the closed form and the quadrature, and
     how far Monte Carlo strays from the closed form, each with the point
     where it occurs.  Raises ValueError unless Monte Carlo can take
     mc_samples and seed at every dims, before any point is computed.

@@ -353,16 +353,33 @@ class TestLimits:
         assert out == ""
         assert err.startswith("mimo-mi: error: ")
 
-    @pytest.mark.parametrize("command", ["coeffs", "render", "eval"])
+    @pytest.mark.parametrize("command", ["coeffs", "render", "eval", "quadrature"])
     def test_dims_cap_exit_1(self, capsys, command):
-        extra = ("--t", "1") if command == "eval" else ()
-        code, out, err = invoke(capsys, command, "-m", "1200", "-n", "1200", *extra)
+        argv = {
+            "eval": ("eval", "--t", "1"),
+            "quadrature": ("eval", "--t", "1", "--quadrature"),
+        }.get(command, (command,))
+        code, out, err = invoke(capsys, *argv, "-m", "1200", "-n", "1200")
         assert code == 1
         assert out == ""
         assert err == (
             "mimo-mi: error: the 1200 x 1200 table is too large to build: "
             "(n+m-2)^2 ((n+m-2) + 18m) is above 1.2e+11, about 10 s of work\n"
         )
+
+    @pytest.mark.parametrize(
+        "m, n", [(1, 90000), (1, 100000), (2, 100000), (5, 100000), (1, 10**12)]
+    )
+    def test_quadrature_beyond_dims_cap_exit_1(self, capsys, monkeypatch, m, n):
+        # the rule stepped over the narrow density and printed about 1e-26,
+        # or (1 x 10^12) tried to allocate 14.6 TiB
+        monkeypatch.setattr(mimo_mi.oracles, "_quad", lambda *a: pytest.fail("_quad ran"))
+        code, out, err = invoke(
+            capsys, "eval", "-m", str(m), "-n", str(n), "--t", "1e-3", "1", "1e3",
+            "--quadrature",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mimo-mi: error: the {m} x {n} table is too large")
 
     def test_grid_point_cap(self):
         with pytest.raises(ValueError, match="more than 1000000 points"):
@@ -696,13 +713,14 @@ class TestStreamedOutput:
 
 class TestVerify:
     def test_targeted_verify_passes(self, capsys):
-        code, out, _ = invoke(
-            capsys,
-            "verify", "-m", "2", "-n", "2",
-            "--t", "1", "--mc-samples", "50000",
+        code, out, err = invoke(
+            capsys, "verify", "-m", "2", "-n", "2", "--t", "1", "--mc-samples", "50000"
         )
-        assert code == 0
-        assert "PASS" in out
+        assert (code, err) == (0, "")
+        assert out == (
+            "PASS  three-way agreement: closed form vs quadrature rel diff 0.000e+00"
+            " at m=2 n=2 t=1.0, MC worst 0.32 sigma at m=2 n=2 t=1.0\n"
+        )
 
     def test_large_table_passes(self, capsys):
         code, out, err = invoke(
@@ -724,6 +742,16 @@ class TestVerify:
             "PASS  log-term cancellation identity",
             "PASS  three-way agreement",
         ]
+        assert out == (
+            "PASS  reference expressions: 5 dims exact\n"
+            "PASS  laguerre orthogonality: max err 2.776e-16\n"
+            "PASS  log-weighted gamma integral identity: max rel err 7.848e-16\n"
+            "PASS  eigenvalue density: form diff 5.315e-15, norm err 2.220e-16,"
+            " moment err 2.961e-16\n"
+            "PASS  log-term cancellation identity: max rel err 3.966e-12\n"
+            "PASS  three-way agreement: closed form vs quadrature rel diff 3.068e-16"
+            " at m=2 n=4 t=1.0, MC worst 1.32 sigma at m=2 n=2 t=10.0\n"
+        )
 
     def test_huge_t_gives_a_verdict(self, capsys):
         # the Monte Carlo std_error underflowed to 0.0 here, and the sigma
@@ -889,11 +917,19 @@ def _fresh(code: str) -> str:
     ).stdout
 
 
+# dataclasses, and inspect, which it loads along with ast, dis and tokenize:
+# the record types need neither.
+_RECORD_MODULES = ("dataclasses", "inspect")
+
+
 def test_import_loads_neither_numpy_nor_scipy():
+    """Importing the package or the CLI loads none of _LAZY, and neither
+    json nor _RECORD_MODULES."""
     out = _fresh(
         "import sys, mimo_mi, mimo_mi.cli; "
         "assert set(mimo_mi.__all__) <= set(dir(mimo_mi)); "
-        f"print(sorted(m for m in {_LAZY!r} if m in sys.modules))"
+        f"print(sorted(m for m in {_LAZY + _RECORD_MODULES + ('json',)!r} "
+        "if m in sys.modules))"
     )
     assert out.strip() == "[]"
     # the oracles need numpy alone
@@ -947,30 +983,19 @@ _EVERY_COMMAND = (
 
 
 def test_no_command_loads_mpmath():
-    """mpmath is a test dependency only."""
+    """mpmath is a test dependency only; and numpy loads inspect for the
+    oracles, but nothing loads dataclasses."""
     out = _fresh(
         "import sys, mimo_mi.cli as cli\n"
         "loaded_by = []\n"
         f"for argv in {_EVERY_COMMAND!r}:\n"
         "    assert cli.run(argv) == 0, argv\n"
-        "    if 'mpmath' in sys.modules:\n"
-        "        loaded_by.append(argv[0])\n"
+        "    for m in ('mpmath', 'dataclasses'):\n"
+        "        if m in sys.modules:\n"
+        "            loaded_by.append((argv[0], m))\n"
         "print(loaded_by)"
     )
     assert out.strip().splitlines()[-1] == "[]"
-
-
-# dataclasses, and inspect, which it loads along with ast, dis and tokenize:
-# the record types need neither.
-_RECORD_MODULES = ("dataclasses", "inspect")
-
-
-def test_import_loads_no_dataclasses_inspect_or_json():
-    out = _fresh(
-        "import sys, mimo_mi.cli\n"
-        f"print([m for m in {_RECORD_MODULES + ('json',)!r} if m in sys.modules])"
-    )
-    assert out.strip() == "[]"
 
 
 def test_closed_form_commands_load_no_dataclasses_or_inspect():
@@ -996,20 +1021,6 @@ def test_closed_form_commands_load_no_dataclasses_or_inspect():
         "    loaded = [m for m in modules if m in sys.modules]\n"
         "    if loaded:\n"
         "        loaded_by.append((argv[0], argv[-1], loaded))\n"
-        "print(loaded_by)"
-    )
-    assert out.strip().splitlines()[-1] == "[]"
-
-
-def test_no_command_loads_dataclasses():
-    """numpy loads inspect for the oracles, but nothing loads dataclasses."""
-    out = _fresh(
-        "import sys, mimo_mi.cli as cli\n"
-        "loaded_by = []\n"
-        f"for argv in {_EVERY_COMMAND!r}:\n"
-        "    assert cli.run(argv) == 0, argv\n"
-        "    if 'dataclasses' in sys.modules:\n"
-        "        loaded_by.append(argv[0])\n"
         "print(loaded_by)"
     )
     assert out.strip().splitlines()[-1] == "[]"

@@ -471,25 +471,29 @@ def _frozen_digest(text: str) -> dict:
     return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "lines": _line_hashes(text)}
 
 
+def _assert_pinned(name: str, docs: dict) -> None:
+    """Fail unless each document's SHA-256 is its pin in tests/data/`name`,
+    naming the first changed line of the first that differs."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        frozen = json.load(fh)
+    assert sorted(frozen) == sorted(docs)
+    for key, text in docs.items():
+        want = frozen[key]
+        if hashlib.sha256(text.encode()).hexdigest() == want["sha256"]:
+            continue
+        lines = text.splitlines(keepends=True)
+        got = _line_hashes(text)
+        for i, line in enumerate(lines):
+            if got[4 * i : 4 * i + 4] != want["lines"][4 * i : 4 * i + 4]:
+                pytest.fail(f"{key}: line {i + 1} differs: {line!r}")
+        pytest.fail(f"{key}: {len(lines)} lines, {len(want['lines']) // 4} frozen")
+
+
 class TestFrozenClosedForm:
     """Every byte of the closed-form documents above is pinned by its
     SHA-256, so a faster point loop or row writer must keep each value,
     err_estimate and format exact."""
 
     def test_documents_unchanged(self):
-        path = os.path.join(os.path.dirname(__file__), "data", "closed_form_sha256.json")
-        with open(path) as fh:
-            frozen = json.load(fh)
-        requests = _frozen_requests()
-        assert sorted(frozen) == sorted(requests)
-        for key, argv in requests.items():
-            text = _cli_output(*argv)
-            want = frozen[key]
-            if hashlib.sha256(text.encode()).hexdigest() == want["sha256"]:
-                continue
-            lines = text.splitlines(keepends=True)
-            got = _line_hashes(text)
-            for i, line in enumerate(lines):
-                if got[4 * i : 4 * i + 4] != want["lines"][4 * i : 4 * i + 4]:
-                    pytest.fail(f"{key}: line {i + 1} differs: {line!r}")
-            pytest.fail(f"{key}: {len(lines)} lines, {len(want['lines']) // 4} frozen")
+        docs = {key: _cli_output(*argv) for key, argv in _frozen_requests().items()}
+        _assert_pinned("closed_form_sha256.json", docs)
