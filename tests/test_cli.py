@@ -179,28 +179,37 @@ class TestEvalSweep:
         code, _, _ = invoke(capsys, "eval", "-m", "2", "-n", "2", "--t", "-1")
         assert code == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("eval", "--t", "inf"),
-            ("eval", "--t", "nan"),
-            ("eval", "--t", "1", "inf"),
-            ("sweep", "--snr-db=nan"),
-            ("sweep", "--snr-db=-inf"),
-            ("sweep", "--snr-db=0:nan:1"),
-            ("sweep", "--snr-db", "-4000"),
-            ("eval", "--t", "0"),
-            ("eval", "--t", "inf", "--quadrature"),
-            ("mc", "--t", "inf"),
-            ("mc", "--t", "nan"),
-        ],
-    )
+    # argv after "-m 2 -n 2": the whole of its stderr
+    BAD_GRIDS = {
+        ("eval", "--t", "inf"): "grid point inf: need finite t > 0, got t=inf",
+        ("eval", "--t", "nan"): "grid point nan: need finite t > 0, got t=nan",
+        ("eval", "--t", "1", "inf"): "grid point inf: need finite t > 0, got t=inf",
+        ("sweep", "--snr-db=nan"): "SNR grid values must be finite, got 'nan'",
+        ("sweep", "--snr-db=-inf"): "SNR grid values must be finite, got '-inf'",
+        ("sweep", "--snr-db=0:nan:1"): "SNR grid values must be finite, got '0:nan:1'",
+        # 10^400 overflows to t = inf
+        ("sweep", "--snr-db", "-4000"): (
+            "grid point -4000.0: need finite t > 0, got t=inf"
+        ),
+        ("eval", "--t", "0"): "grid point 0.0: need finite t > 0, got t=0.0",
+        ("eval", "--t", "inf", "--quadrature"): (
+            "grid point inf: need finite t > 0, got t=inf"
+        ),
+        ("mc", "--t", "inf"): "need finite t > 0, got t=inf",
+        ("mc", "--t", "nan"): "need finite t > 0, got t=nan",
+        ("sweep", "--snr-db=5:0:1"): "empty SNR grid",
+        ("sweep", "--snr-db=inf"): "SNR grid values must be finite, got 'inf'",
+        # 10^-400 underflows to t = 0
+        ("sweep", "--snr-db", "4000"): (
+            "grid point 4000.0: need finite t > 0, got t=0.0"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(BAD_GRIDS))
     def test_non_finite_or_out_of_range_exit_1(self, capsys, argv):
         code, out, err = invoke(capsys, argv[0], "-m", "2", "-n", "2", *argv[1:])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("mimo-mi: error: ")
-        assert "integer ratio" not in err
+        assert (code, out) == (1, "")
+        assert err == f"mimo-mi: error: {self.BAD_GRIDS[argv]}\n"
 
     @pytest.mark.parametrize(
         "m,n,t,want",
