@@ -15,11 +15,9 @@ from .coefficients import (
 )
 from .evaluator import (
     EvaluationResult,
-    GridMode,
     Method,
     evaluate_closed_form,
     render_expression,
-    sweep,
 )
 from .special_functions import (
     ei_exp_scaled,
@@ -32,7 +30,6 @@ __all__ = [
     "CoefficientTable",
     "ConvergenceError",
     "EvaluationResult",
-    "GridMode",
     "McReport",
     "Method",
     "build_table",
@@ -46,7 +43,6 @@ __all__ = [
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",
-    "sweep",
     "telatar_quadrature",
     "upper_gamma_int",
 ]

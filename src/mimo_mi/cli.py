@@ -19,7 +19,8 @@ import sys
 from typing import Iterable, Iterator
 
 from .coefficients import ChannelDims, build_table
-from .evaluator import GridMode, _closed_form_rows, _grid_to_ts, render_expression
+from .evaluator import _closed_form_rows, render_expression
+from .special_functions import _check_t
 
 FORMAT_ENV_VAR = "MIMO_MI_FORMAT"
 # Most points a 'start:stop:step' SNR grid may expand to.
@@ -183,14 +184,31 @@ def _format_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
             )
 
 
-def _resolve_grid(args) -> tuple[list[float], GridMode]:
+def _grid_ts(args) -> list[float]:
+    """The inverse SNR t of each --t value or --snr-db grid point, in
+    order; each must be finite and positive."""
     if args.t is not None and args.snr_db is not None:
         raise ValueError("give either --t or --snr-db, not both")
-    if args.t is not None:
-        return args.t, GridMode.INVERSE_SNR
+    if args.t is None and args.snr_db is None:
+        raise ValueError("one of --t or --snr-db is required")
+    grid = ts = args.t
     if args.snr_db is not None:
-        return _parse_grid(args.snr_db), GridMode.SNR_DB
-    raise ValueError("one of --t or --snr-db is required")
+        grid, ts = _parse_grid(args.snr_db), []
+        for g in grid:
+            try:
+                ts.append(10.0 ** (-g / 10.0))
+            except OverflowError:
+                ts.append(math.inf)
+    if not ts:
+        raise ValueError("empty SNR grid")
+    for g, t in zip(grid, ts):
+        # false for 0, negatives, infinities and NaN, which _check_t names
+        if not 0.0 < t < math.inf:
+            try:
+                _check_t(t)
+            except ValueError as exc:
+                raise ValueError(f"grid point {g}: {exc}") from None
+    return ts
 
 
 def _cmd_coeffs(args) -> int:
@@ -233,7 +251,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_eval_sweep(args) -> int:
     dims = ChannelDims(args.m, args.n)
-    ts = _grid_to_ts(*_resolve_grid(args))
+    ts = _grid_ts(args)
     if getattr(args, "quadrature", False):
         from .oracles import telatar_quadrature
 

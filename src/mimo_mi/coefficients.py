@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest table build_table builds, in units of its work estimate
 # (n+m-2)^2 ((n+m-2) + 18m): the final gcds and divisions grow as the
@@ -79,6 +81,8 @@ def coeff_c(i: int, j: int, dims: ChannelDims) -> Fraction:
     negative integer is taken as zero (the gamma-pole convention), so
     the result is 0 whenever j < 0, i-j < 0, m-1-j < 0 or m-i+j < 0.
     """
+    from fractions import Fraction
+
     m, n = dims.m, dims.n
     scaled = _c_scaled(i, j, m, n)
     if not scaled:
@@ -144,10 +148,12 @@ class CoefficientTable(NamedTuple):
 
     @property
     def a(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(x, self.denominator) for x in self.a_num)
 
     @property
     def b(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(x, self.denominator) for x in self.b_num)
 
 
@@ -182,7 +188,7 @@ def build_table(dims: ChannelDims) -> CoefficientTable:
     # checks the integer scaling of every sum; and the t-free part of the
     # log-cancellation identity, S_0 = m, holds.
     last = sum(coeff_c(2 * m - 2, j, dims) for j in (m - 2, m - 1))
-    if Fraction(c[-1], den) != last or s[0] != m * den:
+    if c[-1] * last.denominator != last.numerator * den or s[0] != m * den:
         raise AssertionError(f"internal consistency failure for dims ({m}, {n})")
     g = math.gcd(den, *s)
     s, delta = [x // g for x in s], den // g

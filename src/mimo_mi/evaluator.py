@@ -1,4 +1,4 @@
-"""Evaluate the closed form, render it symbolically, and sweep SNR grids.
+"""Evaluate the closed form and render it symbolically.
 
 E[I] = A(t) + e^t Ei(-t) B(t), with A and B exact rational polynomials.
 Both parts grow like t^(n+m-3) while E[I] decays like mn/t, so they are
@@ -45,7 +45,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._gauss_laguerre import NODES, WEIGHTS
-from .coefficients import ChannelDims, CoefficientTable, build_table
+from .coefficients import ChannelDims, CoefficientTable
 from .special_functions import _check_t, ei_exp_scaled
 
 # The Stieltjes route is taken where its remainder bound is at most this
@@ -82,11 +82,6 @@ _WEIGHT_RATIOS = tuple(map(float.as_integer_ratio, WEIGHTS))
 class Method(str, enum.Enum):
     CLOSED_FORM = "closed_form"
     QUADRATURE = "quadrature"
-
-
-class GridMode(str, enum.Enum):
-    SNR_DB = "snr_db"
-    INVERSE_SNR = "t"
 
 
 class EvaluationResult(NamedTuple):
@@ -337,43 +332,3 @@ def render_expression(table: CoefficientTable) -> str:
     if lcd == 1:
         return core
     return f"1/{lcd} ({core})"
-
-
-def _grid_to_ts(grid: Sequence[float], mode: GridMode) -> list[float]:
-    """The inverse SNR t of each grid point, in order; each must be finite
-    and positive."""
-    if len(grid) == 0:
-        raise ValueError("empty SNR grid")
-    ts = []
-    for g in grid:
-        if mode is GridMode.SNR_DB:
-            try:
-                t = 10.0 ** (-g / 10.0)
-            except OverflowError:
-                t = math.inf
-        else:
-            t = float(g)
-        # false for 0, negatives, infinities and NaN, which _check_t names
-        if not 0.0 < t < math.inf:
-            try:
-                _check_t(t)
-            except ValueError as exc:
-                raise ValueError(f"grid point {g}: {exc}") from None
-        ts.append(t)
-    return ts
-
-
-def sweep(
-    dims: ChannelDims,
-    grid: Sequence[float],
-    mode: GridMode = GridMode.SNR_DB,
-) -> list[EvaluationResult]:
-    """Evaluate the closed form over an SNR grid, one result per point.
-
-    Grid values are SNRs in dB, or inverse-SNR t values directly, per
-    mode; results keep the input order.
-    """
-    ts = _grid_to_ts(grid, mode)
-    rows = _closed_form_rows(build_table(dims), ts)
-    return list(map(EvaluationResult._make, rows))
-

@@ -17,13 +17,12 @@ import mimo_mi
 from mimo_mi import (
     ChannelDims,
     CoefficientTable,
-    GridMode,
     build_table,
     cli,
     evaluator,
+    evaluate_closed_form,
     monte_carlo_mi,
     render_expression,
-    sweep,
     telatar_quadrature,
 )
 from mimo_mi.cli import run
@@ -120,10 +119,12 @@ class TestRender:
 class TestEvalSweep:
     def test_eval_t(self, capsys):
         code, out, _ = invoke(
-            capsys, "eval", "-m", "2", "-n", "2", "--t", "1.0", "--format", "json"
+            capsys,
+            "eval", "-m", "2", "-n", "2", "--t", "1.0", "0.25", "4", "--format", "json",
         )
         assert code == 0
         data = json.loads(out)
+        assert [row["t"] for row in data] == [1.0, 0.25, 4.0]  # in the order given
         assert data[0]["mi_nats"] == pytest.approx(1.789042086969582, abs=1e-9)
 
     def test_eval_quadrature(self, capsys):
@@ -163,7 +164,9 @@ class TestEvalSweep:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "m,n,snr_db,t,mi_nats,method,err_estimate"
-        assert len(lines) == 4  # inclusive endpoints: 0, 5, 10 dB
+        # inclusive endpoints, in order: 0, 5, 10 dB
+        ts = [float(line.split(",")[3]) for line in lines[1:]]
+        assert ts == [1.0, 10.0**-0.5, 0.1]
 
     def test_missing_grid_exit_1(self, capsys):
         code, _, err = invoke(capsys, "eval", "-m", "2", "-n", "2")
@@ -602,15 +605,16 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("command, m, n, extra", CASES)
     def test_bytes_equal_the_whole_list_route(self, tmp_path, capsys, command, m, n, extra):
         dims = ChannelDims(m, n)
+        table = build_table(dims)
         if "--quadrature" in extra:
             results = [telatar_quadrature(dims, float(t)) for t in extra[1:-1]]
         elif command == "sweep":
-            results = sweep(dims, cli._parse_grid(extra[1]), GridMode.SNR_DB)
+            ts = [10.0 ** (-g / 10.0) for g in cli._parse_grid(extra[1])]
+            results = [evaluate_closed_form(table, t) for t in ts]
         else:
             ts = _random_ts(m, n)
             extra = ("--t", *map(repr, ts))
-            results = sweep(dims, ts, GridMode.INVERSE_SNR)
-            table = build_table(dims)
+            results = [evaluate_closed_form(table, t) for t in ts]
             rule = evaluator._stieltjes_rule(dims, table.b_num, table.denominator)
             routes = {
                 evaluator._stieltjes(rule, dims, t, m * n / (t + (m + n) / 2)) is None
@@ -933,11 +937,12 @@ _RECORD_MODULES = ("dataclasses", "inspect")
 
 def test_import_loads_neither_numpy_nor_scipy():
     """Importing the package or the CLI loads none of _LAZY, and neither
-    json nor _RECORD_MODULES."""
+    json, fractions, decimal nor _RECORD_MODULES."""
+    unloaded = _LAZY + _RECORD_MODULES + ("json", "fractions", "decimal")
     out = _fresh(
         "import sys, mimo_mi, mimo_mi.cli; "
         "assert set(mimo_mi.__all__) <= set(dir(mimo_mi)); "
-        f"print(sorted(m for m in {_LAZY + _RECORD_MODULES + ('json',)!r} "
+        f"print(sorted(m for m in {unloaded!r} "
         "if m in sys.modules))"
     )
     assert out.strip() == "[]"

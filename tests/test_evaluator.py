@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -14,13 +15,11 @@ import pytest
 from mimo_mi import cli, evaluator
 from mimo_mi import (
     ChannelDims,
-    GridMode,
     Method,
     build_table,
     ei_exp_scaled,
     evaluate_closed_form,
     render_expression,
-    sweep,
     telatar_quadrature,
 )
 from mimo_mi._gauss_laguerre import NODES, WEIGHTS
@@ -129,41 +128,6 @@ class TestRenderExpression:
     def test_deterministic(self):
         t = build_table(ChannelDims(4, 6))
         assert render_expression(t) == render_expression(t)
-
-
-class TestSweep:
-    def test_single_point_0db(self):
-        rs = sweep(ChannelDims(2, 2), [0.0], GridMode.SNR_DB)
-        assert len(rs) == 1
-        assert rs[0].t == pytest.approx(1.0)
-        assert rs[0].value == pytest.approx(MI_2X2_T1, abs=1e-9)
-
-    def test_10db_matches_quadrature(self):
-        rs = sweep(ChannelDims(2, 2), [10.0], GridMode.SNR_DB)
-        oracle = telatar_quadrature(ChannelDims(2, 2), rs[0].t).value
-        assert rs[0].value == pytest.approx(oracle, rel=1e-8)
-
-    def test_preserves_order(self):
-        rs = sweep(ChannelDims(2, 2), [5.0, -3.0, 12.0], GridMode.SNR_DB)
-        assert [-10.0 * math.log10(r.t) for r in rs] == pytest.approx([5.0, -3.0, 12.0])
-
-    def test_empty_grid_errors(self):
-        with pytest.raises(ValueError):
-            sweep(ChannelDims(2, 2), [])
-
-    @pytest.mark.parametrize(
-        "grid,mode",
-        [
-            ([math.nan], GridMode.SNR_DB),
-            ([-math.inf], GridMode.SNR_DB),
-            ([math.inf], GridMode.SNR_DB),
-            ([1.0, math.inf], GridMode.INVERSE_SNR),
-            ([-4000.0], GridMode.SNR_DB),
-        ],
-    )
-    def test_non_finite_grid_errors(self, grid, mode):
-        with pytest.raises(ValueError, match="finite"):
-            sweep(ChannelDims(2, 2), grid, mode)
 
 
 def _fraction_poly(coeffs, t):
@@ -294,7 +258,7 @@ class TestCertificate:
 
     def test_sweep_runs_133_remainder_tests(self, monkeypatch):
         # without the certificate, all 281 points of the sweep run it
-        ts = evaluator._grid_to_ts(cli._parse_grid("-30:40:0.25"), GridMode.SNR_DB)
+        ts = cli._grid_ts(argparse.Namespace(t=None, snr_db="-30:40:0.25"))
         assert len(ts) == 281
         assert len(self._tested(build_table(ChannelDims(16, 16)), ts, monkeypatch)) == 133
 
@@ -383,7 +347,8 @@ def _as_dict(r) -> dict:
 
 class TestSerialization:
     def test_csv_round_trip_floats(self):
-        rs = sweep(ChannelDims(2, 3), [0.0, 10.0], GridMode.SNR_DB)
+        table = build_table(ChannelDims(2, 3))
+        rs = [evaluate_closed_form(table, t) for t in (1.0, 0.1)]
         text = _cli_output(
             "sweep", "-m", "2", "-n", "3", "--snr-db", "0:10:10", "--format", "csv"
         )
@@ -397,13 +362,13 @@ class TestSerialization:
             assert fields[5] == "closed_form"
 
     def test_json(self):
-        rs = sweep(ChannelDims(2, 2), [0.0], GridMode.SNR_DB)
+        r = evaluate_closed_form(build_table(ChannelDims(2, 2)), 1.0)
         text = _cli_output(
             "sweep", "-m", "2", "-n", "2", "--snr-db", "0", "--format", "json"
         )
         data = json.loads(text)
         assert data[0]["m"] == 2
-        assert data[0]["mi_nats"] == rs[0].value
+        assert data[0]["mi_nats"] == r.value
         assert data[0]["method"] == "closed_form"
 
     def test_json_bytes_equal_json_dumps(self):

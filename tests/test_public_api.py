@@ -12,7 +12,6 @@ PUBLIC_API = [
     "CoefficientTable",
     "ConvergenceError",
     "EvaluationResult",
-    "GridMode",
     "McReport",
     "Method",
     "build_table",
@@ -26,7 +25,6 @@ PUBLIC_API = [
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",
-    "sweep",
     "telatar_quadrature",
     "upper_gamma_int",
 ]
