@@ -38,8 +38,6 @@ __all__ = [
     "ei_exp_scaled",
     "evaluate_closed_form",
     "laguerre_eval",
-    "lemma1_check",
-    "lnt_identity_check",
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",

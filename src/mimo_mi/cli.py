@@ -293,6 +293,8 @@ def _cmd_verify(args) -> int:
 
     if (args.m is None) != (args.n is None):
         raise ValueError("verify needs both -m and -n, or neither")
+    if args.t is not None and args.m is None:
+        raise ValueError("verify --t needs -m and -n")
     if args.m is not None:
         dims = ChannelDims(args.m, args.n)
         results = [

@@ -5,9 +5,7 @@ the eigenvalue-density integral representation evaluated by
 double-exponential quadrature, the one-point eigenvalue density itself
 (two algebraic forms), and Monte Carlo over Rayleigh channels, whose
 eigenvalues are drawn from the bidiagonal Laguerre model of H H* in O(m)
-per sample.  Also numerical checks of the log-weighted gamma integral
-identity and the log-term cancellation identity that the derivation
-rests on.  Every integral here is over [a, inf) of a function that is
+per sample.  Every integral here is over [a, inf) of a function that is
 smooth on (a, inf), with any singularity at a alone: the one integrator,
 _quad, is built for that class and raises ConvergenceError outside it.
 """
@@ -22,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import ChannelDims, _check_work, coeff_c
+from .coefficients import ChannelDims, _check_work
 from .evaluator import EvaluationResult, Method
-from .special_functions import _check_t, laguerre_eval, upper_gamma_int
+from .special_functions import _check_t, laguerre_eval
 
 
 class ConvergenceError(RuntimeError):
@@ -441,45 +439,3 @@ def monte_carlo_mi(
         seed=seed,
         worker_count=workers,
     )
-
-
-def _log_gamma_integral(k: int, t: float) -> float:
-    """Closed form of int_t^inf x^k e^-x ln x dx:
-    Gamma(k+1, t) ln t + k! sum_{s=0}^{k} Gamma(s, t)/s!."""
-    tail = sum(upper_gamma_int(s, t) / math.factorial(s) for s in range(k + 1))
-    return upper_gamma_int(k + 1, t) * math.log(t) + math.factorial(k) * tail
-
-
-def lemma1_check(k: int, t: float) -> tuple[float, float]:
-    """Quadrature vs closed form for int_t^inf x^k e^-x ln x dx."""
-    _check_t(t)
-    if not 0 <= k <= 20:
-        raise ValueError(f"need 0 <= k <= 20, got {k}")
-
-    def integrand(x):
-        # x^k overflows only where e^-x has underflowed: the product is 0 there.
-        damp = np.exp(-x)
-        return np.where(damp > 0, x**k * np.log(x) * damp, 0.0)
-
-    lhs, _ = _quad(integrand, t)
-    return lhs, _log_gamma_integral(k, t)
-
-
-def lnt_identity_check(dims: ChannelDims, t: float) -> float:
-    """The cancellation identity behind removing ln t from the closed form:
-    returns e^t sum_ij c_ij sum_k C(i+n-m, k) (-t)^(i+n-m-k) Gamma(k+1, t),
-    which must equal m."""
-    _check_t(t)
-    m, n = dims.m, dims.n
-    terms = []
-    for i in range(2 * m - 1):
-        for j in range(i + 1):
-            c = float(coeff_c(i, j, dims))
-            if c == 0.0:
-                continue
-            d = i + n - m
-            for k in range(d + 1):
-                terms.append(
-                    c * math.comb(d, k) * (-t) ** (d - k) * upper_gamma_int(k + 1, t)
-                )
-    return math.exp(t) * math.fsum(terms)

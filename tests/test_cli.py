@@ -766,18 +766,10 @@ class TestVerify:
             " at m=2 n=4 t=1.0, MC worst 1.32 sigma at m=2 n=2 t=10.0\n"
         )
 
-    def test_huge_t_gives_a_verdict(self, capsys):
-        # the Monte Carlo std_error underflowed to 0.0 here, and the sigma
-        # it divides was a ZeroDivisionError
-        code, out, err = invoke(
-            capsys,
-            "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000",
-        )
-        assert code in (0, 2)
-        assert "three-way agreement" in out and err == ""
-
     def test_huge_t_passes(self, capsys):
-        # the quadrature oracle was 1.4e-4 off here, and the check failed
+        # the Monte Carlo std_error underflowed to 0.0 here, and the sigma
+        # it divides was a ZeroDivisionError; then the quadrature oracle was
+        # 1.4e-4 off here, and the check failed
         code, out, err = invoke(
             capsys,
             "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000",
@@ -794,8 +786,8 @@ class TestVerify:
 
         # every oracle the checks call
         oracles = (
-            "_quad", "density_moment", "lemma1_check", "lnt_identity_check",
-            "one_point_density", "telatar_quadrature",
+            "_quad", "density_moment", "one_point_density", "telatar_quadrature",
+            "upper_gamma_int",
         )
         for name in oracles:
             monkeypatch.setattr(verification, name, no_quadrature)
@@ -806,8 +798,13 @@ class TestVerify:
         assert "gamma draws (2m - 1 each), more than the 10000000000 allowed" in err
 
     def test_usage_error_exit_1(self, capsys):
-        code, _, err = invoke(capsys, "verify", "-m", "2")
-        assert code == 1
+        for argv, message in [
+            (("-m", "2"), "verify needs both -m and -n, or neither"),
+            # --t alone ran the whole suite, ignoring it, and exited 0
+            (("--t", "5", "--mc-samples", "1000"), "verify --t needs -m and -n"),
+        ]:
+            code, out, err = invoke(capsys, "verify", *argv)
+            assert (code, out, err) == (1, "", f"mimo-mi: error: {message}\n")
 
     def test_unknown_command_exit_1(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")

@@ -19,8 +19,6 @@ from mimo_mi import (
     coeff_c,
     density_moment,
     evaluate_closed_form,
-    lemma1_check,
-    lnt_identity_check,
     monte_carlo_mi,
     one_point_density,
     telatar_quadrature,
@@ -108,15 +106,26 @@ class TestQuad:
         assert val == pytest.approx(float(exact), rel=1e-14)
         assert abs(val - float(exact)) <= err <= 1e-12 * abs(val)
 
-    @pytest.mark.parametrize("k", [0, 3, 12])
-    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
-    def test_log_gamma_integral(self, k, t):
+    @pytest.mark.parametrize(
+        "t,k",
+        [(t, k) for t in (0.25, 1.0, 4.0) for k in (0, 3, 12)]
+        + [(0.5, 3), (math.e, 0)],
+    )
+    def test_log_gamma_integral(self, t, k):
         val, err = oracles._quad(lambda x: x**k * np.exp(-x) * np.log(x), t)
-        exact = oracles._log_gamma_integral(k, t)
+        exact = verification._log_gamma_integral(k, t)
         assert abs(val - exact) <= max(err, 1e-13 * abs(exact))
         assert err <= 1e-11 * abs(exact)
         ref = quad(lambda x: x**k * math.exp(-x) * math.log(x), t, np.inf, epsabs=0)
         assert val == pytest.approx(ref[0], rel=1e-11)
+
+    def test_log_gamma_integral_at_k0(self):
+        # int_t^inf e^-x ln x dx = e^-t ln t + E1(t): E1(1) at t = 1
+        exact = verification._log_gamma_integral(0, 1.0)
+        assert exact == pytest.approx(0.21938393439552026, rel=1e-13)
+        e1 = quad(lambda x: math.exp(-x) / x, math.e, np.inf)[0]
+        exact = verification._log_gamma_integral(0, math.e)
+        assert exact == pytest.approx(math.exp(-math.e) + e1, rel=1e-10)
 
     @pytest.mark.parametrize(
         "f,exact",
@@ -746,42 +755,15 @@ class TestBidiagonalSampler:
         assert peak <= 2 * 10**6
 
 
-class TestLemma1:
-    def test_k0_t1(self):
-        lhs, rhs = lemma1_check(0, 1.0)
-        assert rhs == pytest.approx(0.21938393439552026, rel=1e-13)
-        assert lhs == pytest.approx(rhs, rel=1e-11)
-
-    def test_k3_t_half(self):
-        lhs, rhs = lemma1_check(3, 0.5)
-        assert abs(lhs - rhs) / abs(rhs) <= 1e-10
-
-    def test_k0_t_e(self):
-        lhs, rhs = lemma1_check(0, math.e)
-        expected = math.exp(-math.e) + quad(
-            lambda x: math.exp(-x) / x, math.e, np.inf
-        )[0]
-        assert rhs == pytest.approx(expected, rel=1e-10)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lemma1_check(25, 1.0)
-        with pytest.raises(ValueError):
-            lemma1_check(1, 0.0)
-        for t in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="need finite t > 0"):
-                lemma1_check(1, t)
-
-
 class TestLnTIdentity:
     @pytest.mark.parametrize(
         "m,n,t,tol",
         [(2, 2, 1.0, 1e-10), (3, 5, 0.3, 1e-9), (1, 1, 7.0, 1e-10)],
     )
     def test_examples(self, m, n, t, tol):
-        val = lnt_identity_check(ChannelDims(m, n), t)
-        assert val == pytest.approx(m, rel=tol)
+        d = ChannelDims(m, n)
+        cs = [(i, coeff_c(i, j, d)) for i in range(2 * m - 1) for j in range(i + 1)]
+        assert verification._lnt_value(d, cs, t) == pytest.approx(m, rel=tol)
 
     def test_check_names_a_perturbed_coefficient(self, monkeypatch):
         # the exact half sums coeff_c itself, not build_table's cached table
@@ -793,7 +775,11 @@ class TestLnTIdentity:
         result = verification.check_lnt_identity()
         assert not result.passed and "m=3 n=5" in result.detail
 
-    def test_domain_error(self):
-        for t in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="need finite t > 0"):
-                lnt_identity_check(ChannelDims(2, 2), t)
+
+def test_oracles_bind_nothing_of_the_closed_form():
+    # the oracles share no code path with the exact-coefficient route
+    closed_form = {
+        "coeff_c", "build_table", "CoefficientTable", "evaluate_closed_form",
+        "_closed_form_rows", "ei_exp_scaled", "upper_gamma_int",
+    }
+    assert closed_form & vars(oracles).keys() == set()

@@ -20,8 +20,6 @@ PUBLIC_API = [
     "ei_exp_scaled",
     "evaluate_closed_form",
     "laguerre_eval",
-    "lemma1_check",
-    "lnt_identity_check",
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",
