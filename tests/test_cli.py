@@ -766,10 +766,18 @@ class TestVerify:
             " at m=2 n=4 t=1.0, MC worst 1.32 sigma at m=2 n=2 t=10.0\n"
         )
 
-    def test_huge_t_passes(self, capsys):
+    def test_huge_t_gives_a_verdict(self, capsys):
         # the Monte Carlo std_error underflowed to 0.0 here, and the sigma
-        # it divides was a ZeroDivisionError; then the quadrature oracle was
-        # 1.4e-4 off here, and the check failed
+        # it divides was a ZeroDivisionError
+        code, out, err = invoke(
+            capsys,
+            "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000",
+        )
+        assert code in (0, 2)
+        assert "three-way agreement" in out and err == ""
+
+    def test_huge_t_passes(self, capsys):
+        # the quadrature oracle was 1.4e-4 off here, and the check failed
         code, out, err = invoke(
             capsys,
             "verify", "-m", "2", "-n", "2", "--t", "1e200", "--mc-samples", "1000",
