@@ -19,11 +19,7 @@ from .evaluator import (
     evaluate_closed_form,
     render_expression,
 )
-from .special_functions import (
-    ei_exp_scaled,
-    laguerre_eval,
-    upper_gamma_int,
-)
+from .special_functions import ei_exp_scaled
 
 __all__ = [
     "ChannelDims",
@@ -37,12 +33,10 @@ __all__ = [
     "density_moment",
     "ei_exp_scaled",
     "evaluate_closed_form",
-    "laguerre_eval",
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",
     "telatar_quadrature",
-    "upper_gamma_int",
 ]
 
 __version__ = "0.1.0"

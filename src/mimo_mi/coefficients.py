@@ -38,7 +38,7 @@ class _Dims(NamedTuple):
 
 
 class ChannelDims(_Dims):
-    """Validated antenna pair, stored with m <= n.
+    """Validated antenna pair of integers, stored with m <= n.
 
     Arguments may come in either order: ln det(I_m + H H*/t) equals
     ln det(I_n + H* H/t), so an (n, m) channel has the same mutual
@@ -48,6 +48,11 @@ class ChannelDims(_Dims):
     __slots__ = ()
 
     def __new__(cls, m: int, n: int):
+        try:
+            m, n = operator.index(m), operator.index(n)
+        except TypeError:
+            msg = f"antenna counts must be integers, got ({m!r}, {n!r})"
+            raise TypeError(msg) from None
         if m < 1 or n < 1:
             raise ValueError(f"antenna counts must be >= 1, got ({m}, {n})")
         return super().__new__(cls, min(m, n), max(m, n))

@@ -3,7 +3,7 @@
 Three oracles that share no code path with the exact-coefficient route:
 the eigenvalue-density integral representation evaluated by
 double-exponential quadrature, the one-point eigenvalue density itself
-(two algebraic forms), and Monte Carlo over Rayleigh channels, whose
+(the Laguerre sum), and Monte Carlo over Rayleigh channels, whose
 eigenvalues are drawn from the bidiagonal Laguerre model of H H* in O(m)
 per sample.  Every integral here is over [a, inf) of a function that is
 smooth on (a, inf), with any singularity at a alone: the one integrator,
@@ -22,7 +22,7 @@ import numpy as np
 
 from .coefficients import ChannelDims, _check_work
 from .evaluator import EvaluationResult, Method
-from .special_functions import _check_t, laguerre_eval
+from .special_functions import _check_t
 
 
 class ConvergenceError(RuntimeError):
@@ -151,41 +151,18 @@ def _weighted_kernel(m: int, alpha: int, lam):
     return np.ldexp(total, 2 * exponent)
 
 
-def one_point_density(dims: ChannelDims, lam: float, form: str = "sum_form") -> float:
-    """Marginal density of one unordered eigenvalue of H H*.
-
-    'sum_form' is the Laguerre sum over degrees 0..m-1 (_weighted_kernel
-    / m); 'two_term_form' is the Christoffel-Darboux style expression with
-    only three Laguerre factors (L of negative degree taken as zero), each
-    scaled by the float64 root weight before multiplying.  The two-term
-    form is an independent float64 cross-check, valid where that weight is
-    a normal float64: where it underflows to 0 the form returns 0.0.  Both
-    integrate to 1.  Raises ValueError for a negative or NaN lam, and for
-    dims build_table refuses; at lam = inf both are 0.
+def one_point_density(dims: ChannelDims, lam: float) -> float:
+    """Marginal density of one unordered eigenvalue of H H*: the Laguerre
+    sum over degrees 0..m-1 (_weighted_kernel / m), which integrates to 1.
+    Raises ValueError for a negative or NaN lam, and for dims build_table
+    refuses; at lam = inf it is 0.
     """
     if not lam >= 0:
         raise ValueError(f"need lambda >= 0, got {lam}")
-    if form not in ("sum_form", "two_term_form"):
-        raise ValueError(f"unknown density form {form!r}")
     _check_work(dims)
-    m, n = dims.m, dims.n
-    alpha = n - m
     if lam == math.inf:
         return 0.0
-    if form == "sum_form":
-        return float(_weighted_kernel(m, alpha, lam) / m)
-    root_weight = float(_root_weight(alpha, lam))
-    if root_weight == 0.0:
-        # the Laguerre factors may overflow, and 0 * inf is nan
-        return 0.0
-    pref = math.factorial(m - 1) * math.factorial(alpha) / math.factorial(n - 1)
-    lm1 = root_weight * laguerre_eval(m - 1, alpha + 1, lam)
-    cross = 0.0
-    if m >= 2:
-        cross = (root_weight * laguerre_eval(m - 2, alpha + 1, lam)) * (
-            root_weight * laguerre_eval(m, alpha + 1, lam)
-        )
-    return pref * (lm1 * lm1 - cross)
+    return float(_weighted_kernel(dims.m, dims.n - dims.m, lam) / dims.m)
 
 
 def _lam_scale(dims: ChannelDims) -> float:

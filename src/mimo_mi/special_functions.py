@@ -1,7 +1,5 @@
-"""Special functions used by the closed form and its oracles.
-
-Laguerre polynomials (stable float evaluation), integer-order upper
-incomplete gamma, and the scaled exponential integral e^t Ei(-t).
+"""The scaled exponential integral e^t Ei(-t) of the closed form, and
+the check on its argument t that the oracles share.
 
 e^t E1(t) = -e^t Ei(-t) is computed on Python integers, to a proven
 relative error, by one of two branches:
@@ -87,42 +85,6 @@ def _check_t(t: float) -> None:
     """Raise ValueError unless t is a finite inverse SNR t > 0."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"need finite t > 0, got t={t}")
-
-
-def laguerre_eval(k: int, alpha: int, x: float) -> float:
-    """L_k^(alpha)(x) by the three-term recurrence in the degree.
-
-    The recurrence is numerically stable, unlike summing the monomial
-    series, whose terms grow like x^k/k! and cancel.
-    """
-    if k < 0 or alpha < 0:
-        raise ValueError(f"need k >= 0 and alpha >= 0, got k={k}, alpha={alpha}")
-    if k == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for j in range(1, k):
-        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) / (j + 1)
-    return cur
-
-
-def upper_gamma_int(s: int, t: float) -> float:
-    """Upper incomplete gamma Gamma(s, t) for integer s >= 0, t > 0.
-
-    For s >= 1 uses the finite sum (s-1)! e^-t sum_i t^i/i! (all terms
-    positive, no cancellation).  Gamma(0, t) = -Ei(-t) = -e^-t (e^t Ei(-t)).
-    """
-    _check_t(t)
-    if s < 0:
-        raise ValueError(f"need s >= 0, got s={s}")
-    if s == 0:
-        return -ei_exp_scaled(t) * math.exp(-t)
-    term = 1.0
-    acc = 1.0
-    for i in range(1, s):
-        term *= t / i
-        acc += term
-    return math.factorial(s - 1) * math.exp(-t) * acc
 
 
 def _e1_series(p: int, e: int, work: int) -> int:

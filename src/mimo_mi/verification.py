@@ -17,12 +17,13 @@ from .evaluator import evaluate_closed_form, render_expression
 from .oracles import (
     _check_mc_request,
     _quad,
+    _root_weight,
     density_moment,
     monte_carlo_mi,
     one_point_density,
     telatar_quadrature,
 )
-from .special_functions import laguerre_eval, upper_gamma_int
+from .special_functions import _check_t, ei_exp_scaled
 
 # Closed-form expressions for small arrays, frozen after independent
 # verification against the quadrature and Monte Carlo oracles.  Note the
@@ -87,6 +88,22 @@ def check_reference_expressions() -> CheckResult:
     )
 
 
+def _laguerre(k: int, alpha: int, x: float) -> float:
+    """L_k^(alpha)(x) by the three-term recurrence in the degree.
+
+    The recurrence is numerically stable, unlike summing the monomial
+    series, whose terms grow like x^k/k! and cancel.
+    """
+    if k < 0 or alpha < 0:
+        raise ValueError(f"need k >= 0 and alpha >= 0, got k={k}, alpha={alpha}")
+    if k == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 + alpha - x
+    for j in range(1, k):
+        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) / (j + 1)
+    return cur
+
+
 def check_orthogonality() -> CheckResult:
     """Laguerre orthogonality under the x^alpha e^-x weight by quadrature."""
     worst = 0.0
@@ -96,8 +113,8 @@ def check_orthogonality() -> CheckResult:
                 val, _ = _quad(
                     lambda x: x**alpha
                     * np.exp(-x)
-                    * laguerre_eval(k, alpha, x)
-                    * laguerre_eval(l, alpha, x),
+                    * _laguerre(k, alpha, x)
+                    * _laguerre(l, alpha, x),
                     0.0,
                     rel_tol=1e-11,
                     abs_tol=1e-11,
@@ -115,11 +132,29 @@ def check_orthogonality() -> CheckResult:
     return CheckResult("laguerre orthogonality", worst <= 1e-9, f"max err {worst:.3e}")
 
 
+def _upper_gamma(s: int, t: float) -> float:
+    """Upper incomplete gamma Gamma(s, t) for integer s >= 0, t > 0.
+
+    For s >= 1 uses the finite sum (s-1)! e^-t sum_i t^i/i! (all terms
+    positive, no cancellation).  Gamma(0, t) = -Ei(-t) = -e^-t (e^t Ei(-t)).
+    """
+    _check_t(t)
+    if s < 0:
+        raise ValueError(f"need s >= 0, got s={s}")
+    if s == 0:
+        return -ei_exp_scaled(t) * math.exp(-t)
+    term = acc = 1.0
+    for i in range(1, s):
+        term *= t / i
+        acc += term
+    return math.factorial(s - 1) * math.exp(-t) * acc
+
+
 def _log_gamma_integral(k: int, t: float) -> float:
     """Closed form of int_t^inf x^k e^-x ln x dx:
     Gamma(k+1, t) ln t + k! sum_{s=0}^{k} Gamma(s, t)/s!."""
-    tail = sum(upper_gamma_int(s, t) / math.factorial(s) for s in range(k + 1))
-    return upper_gamma_int(k + 1, t) * math.log(t) + math.factorial(k) * tail
+    tail = sum(_upper_gamma(s, t) / math.factorial(s) for s in range(k + 1))
+    return _upper_gamma(k + 1, t) * math.log(t) + math.factorial(k) * tail
 
 
 def check_lemma1() -> CheckResult:
@@ -144,6 +179,29 @@ def check_lemma1() -> CheckResult:
     )
 
 
+def _two_term_density(dims: ChannelDims, lam: float) -> float:
+    """one_point_density by the Christoffel-Darboux style expression: three
+    Laguerre factors (L of negative degree taken as zero), each scaled by
+    the float64 root weight before multiplying.  An independent float64
+    cross-check of the sum form, 0.0 where that weight underflows and at
+    lam = inf.  Raises ValueError for a negative or NaN lam."""
+    if not lam >= 0:
+        raise ValueError(f"need lambda >= 0, got {lam}")
+    m, n, alpha = dims.m, dims.n, dims.n - dims.m
+    root_weight = float(_root_weight(alpha, lam)) if lam < math.inf else 0.0
+    if root_weight == 0.0:
+        # the Laguerre factors may overflow, and 0 * inf is nan
+        return 0.0
+    pref = math.factorial(m - 1) * math.factorial(alpha) / math.factorial(n - 1)
+    lm1 = root_weight * _laguerre(m - 1, alpha + 1, lam)
+    cross = 0.0
+    if m >= 2:
+        cross = (root_weight * _laguerre(m - 2, alpha + 1, lam)) * (
+            root_weight * _laguerre(m, alpha + 1, lam)
+        )
+    return pref * (lm1 * lm1 - cross)
+
+
 def check_density() -> CheckResult:
     """Density form equivalence, normalization, and first moment = n, at
     every m <= 5, m <= n <= 9."""
@@ -152,8 +210,8 @@ def check_density() -> CheckResult:
         for n in range(m, 10):
             dims = ChannelDims(m, n)
             for lam in (0.01, 0.1, 1.0, 5.0, 20.0, 50.0):
-                p1 = one_point_density(dims, lam, "sum_form")
-                p2 = one_point_density(dims, lam, "two_term_form")
+                p1 = one_point_density(dims, lam)
+                p2 = _two_term_density(dims, lam)
                 worst_pt = max(worst_pt, abs(p1 - p2) / max(abs(p1), 1e-300))
             worst_norm = max(worst_norm, abs(density_moment(dims, 0) - 1.0))
             worst_mom = max(worst_mom, abs(density_moment(dims, 1) - n) / n)
@@ -169,7 +227,7 @@ def check_density() -> CheckResult:
 def _lnt_value(dims: ChannelDims, cs: list, t: float) -> float:
     """e^t sum_ij c_ij sum_k C(i+n-m, k) (-t)^(i+n-m-k) Gamma(k+1, t), which
     the log-term cancellation identity sets to m; cs lists (i, c_ij)."""
-    gammas = [upper_gamma_int(k + 1, t) for k in range(dims.m + dims.n - 1)]
+    gammas = [_upper_gamma(k + 1, t) for k in range(dims.m + dims.n - 1)]
     terms = []
     for i, c in cs:
         c = float(c)

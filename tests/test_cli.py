@@ -795,7 +795,7 @@ class TestVerify:
         # every oracle the checks call
         oracles = (
             "_quad", "density_moment", "one_point_density", "telatar_quadrature",
-            "upper_gamma_int",
+            "_upper_gamma",
         )
         for name in oracles:
             monkeypatch.setattr(verification, name, no_quadrature)

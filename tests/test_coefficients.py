@@ -6,6 +6,7 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import mimo_mi.coefficients as coefficients
@@ -30,6 +31,18 @@ class TestChannelDims:
     def test_rejects_non_positive(self, m, n):
         with pytest.raises(ValueError):
             ChannelDims(m, n)
+
+    @pytest.mark.parametrize("m,n", [(2.5, 3), (2.0, 3), (3, 4.0), ("2", 3), (None, 1)])
+    def test_rejects_non_integers(self, m, n):
+        # a float pair was accepted, and build_table, telatar_quadrature
+        # and monte_carlo_mi then failed deep inside
+        with pytest.raises(TypeError, match=rf"must be integers, got \({m!r}, {n!r}\)"):
+            ChannelDims(m, n)
+
+    def test_integer_types_are_stored_as_int(self):
+        d = ChannelDims(np.int64(4), np.uint8(2))
+        assert d == (2, 4) and type(d.m) is int and type(d.n) is int
+        assert repr(d) == "ChannelDims(m=2, n=4)"
 
     def test_order_does_not_matter(self):
         assert ChannelDims(5, 3) == ChannelDims(3, 5)

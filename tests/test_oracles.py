@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mimo_mi import oracles, verification
+from mimo_mi import oracles, special_functions, verification
 from mimo_mi import (
     ChannelDims,
     ConvergenceError,
@@ -27,6 +28,11 @@ from test_evaluator import _assert_pinned, _cli_output, _reference
 
 MI_2X2_T1 = 1.789042086969582
 MI_1X1_T1 = 0.596347362323194  # e * Gamma(0,1), quadrature-derived
+# The density oracle and the float64 form verification checks it against.
+_DENSITY_FORMS = {
+    "sum_form": one_point_density,
+    "two_term_form": verification._two_term_density,
+}
 
 
 class TestOnePointDensity:
@@ -43,13 +49,14 @@ class TestOnePointDensity:
         with pytest.raises(ValueError):
             one_point_density(ChannelDims(2, 2), -0.1)
 
-    @pytest.mark.parametrize("form", ["sum_form", "two_term_form"])
+    @pytest.mark.parametrize("form", list(_DENSITY_FORMS))
     def test_nan_errors_and_inf_is_zero(self, form):
+        density = _DENSITY_FORMS[form]
         for m, n in ((1, 1), (2, 5), (4, 4)):
             with pytest.raises(ValueError, match="need lambda >= 0, got nan"):
-                one_point_density(ChannelDims(m, n), math.nan, form)
-            assert one_point_density(ChannelDims(m, n), math.inf, form) == 0.0
-            assert one_point_density(ChannelDims(m, n), 1e300, form) == 0.0
+                density(ChannelDims(m, n), math.nan)
+            assert density(ChannelDims(m, n), math.inf) == 0.0
+            assert density(ChannelDims(m, n), 1e300) == 0.0
 
     def test_matches_gamma_density_at_1xn(self):
         # at m = 1 the density is e^-lam lam^alpha / alpha!, whose log has
@@ -64,9 +71,9 @@ class TestOnePointDensity:
                     worst = max(worst, float(abs(got - ref) / ref))
         assert worst <= 5e-16
 
-    @pytest.mark.parametrize("form", ["sum_form", "two_term_form"])
+    @pytest.mark.parametrize("form", list(_DENSITY_FORMS))
     def test_zero_where_alpha_is_positive(self, form):
-        assert one_point_density(ChannelDims(2, 4), 0.0, form) == 0.0
+        assert _DENSITY_FORMS[form](ChannelDims(2, 4), 0.0) == 0.0
 
     def test_large_table(self):
         # the float64 root weight underflowed to 0 above lam ~ 1,490, inside
@@ -76,10 +83,6 @@ class TestOnePointDensity:
         assert density_moment(d, 0) == pytest.approx(1.0, abs=1e-10)
         assert density_moment(d, 1) / 600 == pytest.approx(1.0, abs=1e-10)
         assert one_point_density(d, 1500.0) > 0
-
-    def test_unknown_form_errors(self):
-        with pytest.raises(ValueError):
-            one_point_density(ChannelDims(2, 2), 1.0, "nope")
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 4), (3, 3), (5, 9)])
     def test_moments(self, m, n):
@@ -153,8 +156,8 @@ class TestQuad:
         val, err = oracles._quad(
             lambda x: x**2
             * np.exp(-x)
-            * oracles.laguerre_eval(2, 2, x)
-            * oracles.laguerre_eval(5, 2, x),
+            * verification._laguerre(2, 2, x)
+            * verification._laguerre(5, 2, x),
             0.0,
             abs_tol=1e-12,
         )
@@ -352,7 +355,8 @@ class TestTelatarQuadrature:
 # The oracle documents tests/data/oracle_sha256.json pins, by key: the
 # quadrature oracle's `eval --quadrature` JSON over the small-dims grid
 # of test_worst_error_over_small_dims and at three bench-sized tables,
-# and the reprs of both density forms and the first two moments.
+# and the reprs of both density forms (the two-term one is verification's)
+# and the first two moments.
 _FROZEN_QUAD_TS = tuple(repr(0.1 * 10 ** (k / 8)) for k in range(17))
 _FROZEN_DENSITY_LAMS = (0.0, 0.01, 1.0, 5.0, 50.0)
 
@@ -371,8 +375,8 @@ def _oracle_documents() -> dict:
         for n in range(m, 6):
             d = ChannelDims(m, n)
             lines = [
-                f"{form} {lam!r} {one_point_density(d, lam, form)!r}\n"
-                for form in ("sum_form", "two_term_form")
+                f"{form} {lam!r} {density(d, lam)!r}\n"
+                for form, density in _DENSITY_FORMS.items()
                 for lam in _FROZEN_DENSITY_LAMS
             ]
             lines += [f"moment {p} {density_moment(d, p)!r}\n" for p in (0, 1)]
@@ -783,3 +787,18 @@ def test_oracles_bind_nothing_of_the_closed_form():
         "_closed_form_rows", "ei_exp_scaled", "upper_gamma_int",
     }
     assert closed_form & vars(oracles).keys() == set()
+
+
+def test_check_helpers_stay_out_of_the_library():
+    # the Laguerre recurrence, Gamma(s, t) and the two-term density serve
+    # only verification's checks
+    assert "laguerre_eval" not in vars(oracles)
+    public = {
+        name
+        for name, obj in vars(special_functions).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == special_functions.__name__
+        and not name.startswith("_")
+    }
+    assert public == {"ei_exp_scaled"}
+    assert "form" not in inspect.signature(one_point_density).parameters

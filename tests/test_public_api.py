@@ -19,12 +19,10 @@ PUBLIC_API = [
     "density_moment",
     "ei_exp_scaled",
     "evaluate_closed_form",
-    "laguerre_eval",
     "monte_carlo_mi",
     "one_point_density",
     "render_expression",
     "telatar_quadrature",
-    "upper_gamma_int",
 ]
 
 

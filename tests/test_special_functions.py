@@ -7,31 +7,27 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mimo_mi import (
-    ei_exp_scaled,
-    laguerre_eval,
-    upper_gamma_int,
-)
-from mimo_mi import special_functions
+from mimo_mi import ei_exp_scaled, special_functions
+from mimo_mi.verification import _laguerre, _upper_gamma
 
 _XS = (0.0, 0.5, 1.0, 3.0, 7.25)
 
 
 class TestLaguerreCoeffs:
-    """The coefficients of L_k^(alpha), seen through laguerre_eval."""
+    """The coefficients of L_k^(alpha), seen through _laguerre."""
 
     def test_degree_zero_is_one(self):
         for x in _XS:
-            assert laguerre_eval(0, 3, x) == 1.0
+            assert _laguerre(0, 3, x) == 1.0
 
     def test_k1_alpha3(self):
         # C(4,1) - x
         for x in _XS:
-            assert laguerre_eval(1, 3, x) == 4.0 - x
+            assert _laguerre(1, 3, x) == 4.0 - x
 
     def test_k2_alpha0(self):
         for x in _XS:
-            assert laguerre_eval(2, 0, x) == pytest.approx(1 - 2 * x + x * x / 2, rel=1e-15)
+            assert _laguerre(2, 0, x) == pytest.approx(1 - 2 * x + x * x / 2, rel=1e-15)
 
     @pytest.mark.parametrize("k,alpha", [(3, 0), (5, 2), (10, 4), (15, 1)])
     def test_degree_and_leading_coeff(self, k, alpha):
@@ -40,7 +36,7 @@ class TestLaguerreCoeffs:
         # (k+1)-th is zero.
         def diff(order):
             return math.fsum(
-                (-1) ** (order - i) * math.comb(order, i) * laguerre_eval(k, alpha, float(i))
+                (-1) ** (order - i) * math.comb(order, i) * _laguerre(k, alpha, float(i))
                 for i in range(order + 1)
             )
 
@@ -49,20 +45,20 @@ class TestLaguerreCoeffs:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            laguerre_eval(-1, 0, 1.0)
+            _laguerre(-1, 0, 1.0)
         with pytest.raises(ValueError):
-            laguerre_eval(2, -1, 1.0)
+            _laguerre(2, -1, 1.0)
 
 
 class TestLaguerreEval:
     def test_trivial(self):
-        assert laguerre_eval(0, 0, 7.3) == 1.0
+        assert _laguerre(0, 0, 7.3) == 1.0
 
     def test_root_of_linear(self):
-        assert laguerre_eval(1, 3, 4.0) == pytest.approx(0.0, abs=1e-14)
+        assert _laguerre(1, 3, 4.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_degree_two(self):
-        assert laguerre_eval(2, 0, 2.0) == pytest.approx(-1.0, rel=1e-14)
+        assert _laguerre(2, 0, 2.0) == pytest.approx(-1.0, rel=1e-14)
 
     @pytest.mark.parametrize("k", range(11))
     @pytest.mark.parametrize("alpha", [0, 1, 3])
@@ -71,63 +67,63 @@ class TestLaguerreEval:
         with mpmath.workdps(50):
             for x in rng.uniform(0.0, 50.0, size=20):
                 exact = float(mpmath.laguerre(k, alpha, mpmath.mpf(float(x))))
-                got = laguerre_eval(k, alpha, float(x))
+                got = _laguerre(k, alpha, float(x))
                 assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 class TestUpperGammaInt:
     def test_s1(self):
-        assert upper_gamma_int(1, 1.0) == pytest.approx(math.exp(-1), rel=1e-15)
+        assert _upper_gamma(1, 1.0) == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_s3(self):
         # 2! e^-1 (1 + 1 + 1/2) = 5/e
-        assert upper_gamma_int(3, 1.0) == pytest.approx(5 / math.e, rel=1e-14)
+        assert _upper_gamma(3, 1.0) == pytest.approx(5 / math.e, rel=1e-14)
 
     def test_s0_against_quadrature(self):
         # independent oracle: quad of int_1^inf e^-x / x dx
-        assert upper_gamma_int(0, 1.0) == pytest.approx(
+        assert _upper_gamma(0, 1.0) == pytest.approx(
             0.21938393439552026, rel=1e-13
         )
 
     @pytest.mark.parametrize("s", range(1, 16))
     @pytest.mark.parametrize("t", [0.25, 1.0, 5.0])
     def test_recurrence(self, s, t):
-        lhs = upper_gamma_int(s + 1, t)
-        rhs = s * upper_gamma_int(s, t) + t**s * math.exp(-t)
+        lhs = _upper_gamma(s + 1, t)
+        rhs = s * _upper_gamma(s, t) + t**s * math.exp(-t)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            upper_gamma_int(1, 0.0)
+            _upper_gamma(1, 0.0)
         with pytest.raises(ValueError):
-            upper_gamma_int(1, -2.0)
+            _upper_gamma(1, -2.0)
         for s in (0, 2):
             for t in (math.nan, math.inf):
                 with pytest.raises(ValueError, match="need finite t > 0"):
-                    upper_gamma_int(s, t)
+                    _upper_gamma(s, t)
 
 
 class TestExpIntegral:
     """e^t Ei(-t) through ei_exp_scaled, and Ei(-t) = -Gamma(0, t)
-    through upper_gamma_int(0, t)."""
+    through _upper_gamma(0, t)."""
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0, 7.9, 8.1, 10.0, 30.0])
     def test_against_defining_integral(self, t):
         oracle, err = quad(
             lambda s: math.exp(-s) / s, t, np.inf, epsabs=1e-300, epsrel=1e-13
         )
-        assert upper_gamma_int(0, t) == pytest.approx(oracle, rel=1e-12)
+        assert _upper_gamma(0, t) == pytest.approx(oracle, rel=1e-12)
         assert ei_exp_scaled(t) == pytest.approx(-oracle * math.exp(t), rel=1e-12)
 
     def test_known_values(self):
-        assert upper_gamma_int(0, 1.0) == pytest.approx(0.21938393439552026, rel=1e-14)
-        assert upper_gamma_int(0, 10.0) == pytest.approx(
+        assert _upper_gamma(0, 1.0) == pytest.approx(0.21938393439552026, rel=1e-14)
+        assert _upper_gamma(0, 10.0) == pytest.approx(
             4.156968929685324e-06, rel=1e-13
         )
 
     @pytest.mark.parametrize("t", [20.0, 100.0, 500.0])
     def test_large_t_bracketing(self, t):
-        assert math.exp(-t) / (t + 1) < upper_gamma_int(0, t) < math.exp(-t) / t
+        assert math.exp(-t) / (t + 1) < _upper_gamma(0, t) < math.exp(-t) / t
         assert -1 / t < ei_exp_scaled(t) < -1 / (t + 1)
 
     def test_scaled_variant(self):
@@ -147,7 +143,7 @@ class TestExpIntegral:
                 e1 = mpmath.e1(mpmath.mpf(t))
                 assert ei_exp_scaled(t) == float(-mpmath.exp(mpmath.mpf(t)) * e1), t
                 # one more rounding, in the product with e^-t
-                assert upper_gamma_int(0, t) == pytest.approx(float(e1), rel=5e-16), t
+                assert _upper_gamma(0, t) == pytest.approx(float(e1), rel=5e-16), t
 
     def test_leaves_mpmath_context_alone(self, monkeypatch):
         """Any thread may set mpmath's global precision at any time, so
@@ -176,11 +172,11 @@ class TestExpIntegral:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            upper_gamma_int(0, 0.0)
+            _upper_gamma(0, 0.0)
         with pytest.raises(ValueError):
             ei_exp_scaled(-1.0)
         for t in (math.nan, math.inf):
-            for f in (lambda t: upper_gamma_int(0, t), ei_exp_scaled):
+            for f in (lambda t: _upper_gamma(0, t), ei_exp_scaled):
                 with pytest.raises(ValueError, match="finite"):
                     f(t)
 
@@ -272,8 +268,8 @@ class TestIdentities:
                 val, _ = quad(
                     lambda x: x**alpha
                     * math.exp(-x)
-                    * laguerre_eval(k, alpha, x)
-                    * laguerre_eval(l, alpha, x),
+                    * _laguerre(k, alpha, x)
+                    * _laguerre(l, alpha, x),
                     0,
                     150.0,
                     epsabs=1e-11,
@@ -289,7 +285,7 @@ class TestIdentities:
     @pytest.mark.parametrize("N", range(9))
     def test_binomial_gamma_summation(self, N, t):
         lhs = math.fsum(
-            math.comb(N, k) * (-t) ** (-k) * upper_gamma_int(k + 1, t)
+            math.comb(N, k) * (-t) ** (-k) * _upper_gamma(k + 1, t)
             for k in range(N + 1)
         )
         rhs = (-1 / t) ** N * math.factorial(N) * math.exp(-t)
