@@ -289,7 +289,7 @@ def evaluate_closed_form(table: CoefficientTable, t: float) -> EvaluationResult:
     t > 0, by the Stieltjes route where it is proven accurate and the
     exact route elsewhere (see the module docstring).  err_estimate
     bounds the error, rounded up to two significant digits."""
-    _check_t(t)
+    t = _check_t(t)
     (row,) = _closed_form_rows(table, (t,))
     return EvaluationResult._make(row)
 

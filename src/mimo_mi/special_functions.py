@@ -81,10 +81,13 @@ _LN_1P_J32 = (
 )
 
 
-def _check_t(t: float) -> None:
-    """Raise ValueError unless t is a finite inverse SNR t > 0."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"need finite t > 0, got t={t}")
+def _check_t(t: float) -> float:
+    """t as a float; ValueError unless that is a finite inverse SNR t > 0,
+    TypeError unless t is a real number."""
+    x = float(t) if math.isfinite(t) else t  # isfinite takes no str
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"need finite t > 0, got t={x}")
+    return x
 
 
 def _e1_series(p: int, e: int, work: int) -> int:
@@ -166,12 +169,13 @@ def _scaled_e1(t: float, prec: int) -> tuple[int, int]:
     prec = max(prec, 53)
     p, q = t.as_integer_ratio()
     e = q.bit_length() - 1
-    # e^t E1(t) is about 1/t while the series' terms sum to about e^t ln t:
-    # their cancellation takes t log2(e) bits
-    work = prec + _SERIES_GUARD_BITS + math.ceil(t * _LOG2_E)
     # the series is faster below the measured crossover t = prec/5 - 3
-    if 5.0 * (t + 3.0) < prec and work <= _MAX_SERIES_BITS:
-        return _e1_series(p, e, work), -work
+    if 5.0 * (t + 3.0) < prec:
+        # e^t E1(t) is about 1/t while the series' terms sum to about
+        # e^t ln t: their cancellation takes t log2(e) bits
+        work = prec + _SERIES_GUARD_BITS + math.ceil(t * _LOG2_E)
+        if work <= _MAX_SERIES_BITS:
+            return _e1_series(p, e, work), -work
     # the fraction needs about (bits ln 2)^2 / (16 t) steps here
     if 0.031 * (prec + 2) ** 2 > _MAX_CF_STEPS * t:
         raise ValueError(
@@ -197,7 +201,7 @@ def ei_exp_scaled(t: float, prec: int | None = None):
     rounding boundary.  Positive arguments of Ei are deliberately
     unsupported; nothing in this package needs them.
     """
-    _check_t(t)
+    t = _check_t(t)
     if prec is not None:
         return _scaled_e1(t, prec)
     for bits in _FLOAT_BITS:

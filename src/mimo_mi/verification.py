@@ -138,7 +138,7 @@ def _upper_gamma(s: int, t: float) -> float:
     For s >= 1 uses the finite sum (s-1)! e^-t sum_i t^i/i! (all terms
     positive, no cancellation).  Gamma(0, t) = -Ei(-t) = -e^-t (e^t Ei(-t)).
     """
-    _check_t(t)
+    t = _check_t(t)
     if s < 0:
         raise ValueError(f"need s >= 0, got s={s}")
     if s == 0:

@@ -170,6 +170,14 @@ class TestExpIntegral:
                 mt = mpmath.mpf(t)
                 assert ei_exp_scaled(t) == float(-mpmath.exp(mt) * mpmath.e1(mt)), t
 
+    @pytest.mark.parametrize("t", [1.3e308, 1.7976931348623157e308])
+    def test_near_the_largest_double(self, t):
+        # e^t E1(t) = 1/t - 1/t^2 + ... rounds as the subnormal 1/t does;
+        # mpmath's float() rounds a subnormal twice, 1 ulp off at 1.3e308.
+        # The series' bit count, ceil(t log2 e), overflows an int here, so
+        # only the series branch may compute it.
+        assert ei_exp_scaled(t) == -(1 / int(t))
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             _upper_gamma(0, 0.0)
@@ -250,6 +258,12 @@ class TestIntegerExpIntegral:
 
     @pytest.mark.parametrize("t, prec", [(1e30, 2**12), (1e60, 2**14), (2.0**300, 2**16)])
     def test_continued_fraction_at_many_bits(self, branches, t, prec):
+        assert _units_off(*ei_exp_scaled(t, prec), t, prec) < 1
+        assert list(branches) == ["_e1_cf"]
+
+    @pytest.mark.parametrize("t", [1.3e308, 1.7976931348623157e308])
+    @pytest.mark.parametrize("prec", [53, 1000])
+    def test_near_the_largest_double(self, branches, t, prec):
         assert _units_off(*ei_exp_scaled(t, prec), t, prec) < 1
         assert list(branches) == ["_e1_cf"]
 
